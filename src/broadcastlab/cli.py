@@ -36,6 +36,7 @@ from .fixedpoint import FixedPointError, fixedpoint_report
 from .operators import OperatorError, as_density, as_effect
 from .serialization import (
     SchemaError,
+    _expect_keys,
     channel_from_json,
     channel_to_json,
     dumps_report,
@@ -166,12 +167,17 @@ def _run_check_meas(args) -> dict:
 
 def _run_pvm_embed(args) -> dict:
     doc = load_json_file(args.input)
-    for key in doc:
-        if key not in ("labels", "projections", "subsets"):
-            raise SchemaError(f"$.{key}: unknown field")
-    for key in ("labels", "projections", "subsets"):
-        if key not in doc:
-            raise SchemaError(f"$.{key}: missing required field")
+    _expect_keys(doc, ("labels", "projections", "subsets"))
+
+    def label_list(x):
+        return isinstance(x, list) and all(isinstance(v, (str, int, float)) for v in x)
+
+    if not label_list(doc["labels"]):
+        raise SchemaError("$.labels: expected a list of strings or numbers")
+    if not isinstance(doc["projections"], list):
+        raise SchemaError("$.projections: expected a list of operators")
+    if not (isinstance(doc["subsets"], list) and all(map(label_list, doc["subsets"]))):
+        raise SchemaError("$.subsets: expected a list of label lists")
     projections = [operator_from_json(p, f"$.projections[{i}]")
                    for i, p in enumerate(doc["projections"])]
     args.tol = args.tol if args.tol is not None else 1e-10

@@ -305,6 +305,8 @@ class FeasibilityProblem:
         self.dim = d
         self.picture = picture
         self.budget = int(budget)
+        if self.budget < 1:
+            raise ValueError(f"budget must be a positive cycle count, got {budget}")
         self.tol = float(tol)
         self.stall_window = int(stall_window)
         self.cones = ("psd", "ppt")

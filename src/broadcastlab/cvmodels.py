@@ -41,7 +41,13 @@ __all__ = [
     "sweep_rows_to_csv",
 ]
 
-QCHANNEL_LEVEL_CAP = 64
+FOCK_LEVEL_CAP = 64
+
+
+def _check_levels(n: int) -> int:
+    if n > FOCK_LEVEL_CAP:
+        raise OperatorError(f"{n} levels exceed the cap {FOCK_LEVEL_CAP}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -55,38 +61,69 @@ class FockTruncation:
             raise OperatorError(f"need at least 2 levels, got {self.levels}")
 
 
+def _sector_coords(n: int):
+    """Fock indices of the photon-number-difference sectors.
+
+    Row s holds the sector m - k = s - (n-1); its i-th element is |m><k| with
+    min(m, k) = i.  Returns (m, k, valid), each of shape (2n-1, n); positions
+    past the end of a sector (i >= n - |m - k|) are padding, marked invalid.
+    """
+    diff = np.arange(-(n - 1), n)[:, None]
+    i = np.arange(n)
+    return i + np.maximum(diff, 0), i + np.maximum(-diff, 0), i < n - np.abs(diff)
+
+
 class TruncatedChannel:
-    """Channel restricted to a finite Fock window, acting on vectorized operators.
+    """Phase-covariant channel restricted to a finite Fock window.
+
+    The channel maps |j><k| onto the |m><l| with m - l = j - k, so it is
+    stored as `action`, a complex array of shape (2n-1, n, n): block s is the
+    action within the sector m - l = s - (n-1), in the element order of
+    `_sector_coords`, zero-padded past the sector's n - |s - (n-1)| elements.
 
     Trace-non-increasing by construction; the worst trace loss over basis
-    states is recorded in `trace_defect_bound`.
+    states is recorded in `trace_defect_bound`.  Complete positivity is
+    checked on the grading blocks of the Choi matrix unless `validate_cp` is
+    False.
     """
 
-    def __init__(self, action: np.ndarray, levels: int, validate_cp: bool | None = None,
+    def __init__(self, action: np.ndarray, levels: int, validate_cp: bool = True,
                  cp_tol: float = 1e-10):
         n = levels
-        if action.shape != (n * n, n * n):
-            raise OperatorError(f"action matrix shape {action.shape} does not match {n} levels")
-        self.action = action
+        if action.shape != (2 * n - 1, n, n):
+            raise OperatorError(f"sector action shape {action.shape} does not match {n} levels")
+        self.action = np.asarray(action, dtype=complex)
         self.levels = n
         self.d_in = n
         self.d_out = n
-        defect = 0.0
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, j] = 1.0
-            defect = max(defect, 1.0 - float(np.real(np.trace(self.apply(e)))))
-        self.trace_defect_bound = defect
-        if validate_cp is None:
-            validate_cp = n <= 32
+        m, k, valid = _sector_coords(n)
+        self._gather = np.where(valid, m * n + k, n * n)
+        self._scatter = np.empty(n * n, dtype=np.intp)
+        self._scatter[self._gather[valid]] = np.flatnonzero(valid)
+        # tr L(|j><j|) is column j's sum in the diagonal sector; summing the
+        # transposed block along contiguous rows adds in the order np.trace uses
+        traces = np.ascontiguousarray(self.action[n - 1].T).sum(axis=1)
+        self.trace_defect_bound = float(np.max(1.0 - np.real(traces)))
         if validate_cp:
-            w = np.linalg.eigvalsh(self.choi())
+            w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
             if w.min() < -cp_tol * max(1.0, w.max()):
                 raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
 
-    def apply(self, t) -> np.ndarray:
+    def _to_sectors(self, t) -> np.ndarray:
+        """Gather vec(t) into sector columns of shape (2n-1, n, 1), zero-padded."""
         t = as_complex_matrix(t)
-        return unvec(self.action @ vec(t), self.levels)
+        n = self.levels
+        if t.shape != (n, n):
+            raise OperatorError(f"operand shape {t.shape} does not match {n} levels")
+        padded = np.zeros(n * n + 1, dtype=complex)
+        padded[:-1] = vec(t)
+        return padded[self._gather][..., None]
+
+    def _from_sectors(self, x: np.ndarray) -> np.ndarray:
+        return unvec(x.reshape(-1)[self._scatter], self.levels)
+
+    def apply(self, t) -> np.ndarray:
+        return self._from_sectors(self.action @ self._to_sectors(t))
 
     # the smoothing channel is Hilbert-Schmidt self-adjoint and the shift study
     # works in the Schrodinger picture, so both pictures act by the stored matrix
@@ -96,15 +133,28 @@ class TruncatedChannel:
     def apply_heisenberg(self, t) -> np.ndarray:
         return self.apply(t)
 
-    def choi(self) -> np.ndarray:
+    def sector_blocks(self) -> list[np.ndarray]:
+        """The unpadded sector blocks, s = 0..2n-2 (views into `action`)."""
         n = self.levels
-        j = np.zeros((n * n, n * n), dtype=complex)
-        for a in range(n):
-            for b in range(n):
-                e = np.zeros((n, n), dtype=complex)
-                e[a, b] = 1.0
-                j[a * n:(a + 1) * n, b * n:(b + 1) * n] = self.apply(e)
-        return 0.5 * (j + dagger(j))
+        return [self.action[s, :n - abs(s - n + 1), :n - abs(s - n + 1)]
+                for s in range(2 * n - 1)]
+
+    def choi(self) -> list[np.ndarray]:
+        """Choi matrix J = sum_ab |a><b| (x) L(|a><b|) as its diagonal blocks.
+
+        Phase covariance makes J block-diagonal in the grading g = m - a of its
+        basis |a>|m>; block g (g = -(n-1)..n-1) has rows |a>|a+g> ordered by
+        min(a, a+g).  Its entry (i, l) lies in the action's sector i - l.
+        """
+        n = self.levels
+        blocks = []
+        for g in range(-(n - 1), n):
+            idx = np.arange(n - abs(g))
+            low = np.minimum.outer(idx, idx)
+            sector = np.subtract.outer(idx, idx) + n - 1
+            b = self.action[sector, low + max(g, 0), low + max(-g, 0)]
+            blocks.append(0.5 * (b + dagger(b)))
+        return blocks
 
 
 def qchannel_element(m: int, n: int, j: int, k: int) -> float:
@@ -152,18 +202,19 @@ def qchannel_element_quadrature(m: int, n: int, j: int, k: int,
     return float(np.real(angular) / np.pi * radial * np.exp(lognorm))
 
 
-def qchannel_build(trunc: FockTruncation, validate_cp: bool | None = None) -> TruncatedChannel:
-    """Coherent-state smoothing channel restricted to the truncation window."""
-    n = trunc.levels
-    if n > QCHANNEL_LEVEL_CAP:
-        raise OperatorError(f"{n} levels exceed the cap {QCHANNEL_LEVEL_CAP}")
-    action = np.zeros((n * n, n * n))
-    for m in range(n):
-        for nn in range(n):
-            for j in range(n):
-                k = nn + j - m
-                if 0 <= k < n:
-                    action[m * n + nn, j * n + k] = qchannel_element(m, nn, j, k)
+def qchannel_build(trunc: FockTruncation, validate_cp: bool = True) -> TruncatedChannel:
+    """Coherent-state smoothing channel restricted to the truncation window.
+
+    Entries follow `qchannel_element` term by term, from a log-factorial table."""
+    n = _check_levels(trunc.levels)
+    first, second, valid = _sector_coords(n)
+    s, p, q = np.nonzero(valid[:, :, None] & valid[:, None, :])
+    m, nn, j, k = first[s, p], second[s, p], first[s, q], second[s, q]
+    lg = gammaln(np.arange(2 * n - 1) + 1)
+    logval = (lg[m + k] - (m + k + 1) * np.log(2.0)
+              - 0.5 * (lg[m] + lg[nn] + lg[j] + lg[k]))
+    action = np.zeros((2 * n - 1, n, n), dtype=complex)
+    action[s, p, q] = np.exp(logval)
     return TruncatedChannel(action, n, validate_cp=validate_cp)
 
 
@@ -184,7 +235,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
     n = channel.levels
     if window > n // 2:
         raise OperatorError(f"window {window} exceeds half the truncation {n}")
-    evals = np.linalg.eigvals(channel.action)
+    evals = np.concatenate([np.linalg.eigvals(b) for b in channel.sector_blocks()])
     moduli = np.sort(np.abs(evals))[::-1]
 
     rng = np.random.default_rng(seed)
@@ -205,7 +256,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
         dev = frob_norm(block - c * np.eye(window))
         return float(dev), float(dev / max(frob_norm(block), 1e-300))
 
-    x = vec(a)
+    x = channel._to_sectors(a)
     total = x.copy()
     checkpoints = {}
     checkpoints_shape = {}
@@ -216,7 +267,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
             x = channel.action @ x
             total += x
         if t in marks:
-            avg_mat = unvec(total / t, n)
+            avg_mat = channel._from_sectors(total / t)
             checkpoints[t], checkpoints_shape[t] = window_distance(avg_mat)
     final_dev, final_shape = window_distance(avg_mat)
     return {
@@ -237,11 +288,10 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
 def shift_channel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Shift channel with absorbing boundary: populations move one level up,
     mass at the top level leaves the window, coherences are discarded."""
-    n = trunc.levels
-    action = np.zeros((n * n, n * n))
-    for j in range(n - 1):
-        action[(j + 1) * n + (j + 1), j * n + j] = 1.0
-    return TruncatedChannel(action, n, validate_cp=n <= 32)
+    n = _check_levels(trunc.levels)
+    action = np.zeros((2 * n - 1, n, n), dtype=complex)
+    action[n - 1, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return TruncatedChannel(action, n)
 
 
 def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
@@ -283,7 +333,8 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
             per_state.append(float(np.real(np.trace(avg[:window, :window]))))
         masses[steps] = per_state
 
-    svals = np.linalg.svd(channel.action - np.eye(n * n), compute_uv=False)
+    svals = np.concatenate([np.linalg.svd(b - np.eye(len(b)), compute_uv=False)
+                            for b in channel.sector_blocks()])
     smax = svals.max()
     fixed_dim = int(np.count_nonzero(svals <= nullspace_tol * smax)) if smax > 0 else n * n
 

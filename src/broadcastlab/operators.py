@@ -15,7 +15,6 @@ __all__ = [
     "OperatorError",
     "NotCommutingError",
     "as_complex_matrix",
-    "hermitian_part",
     "as_hermitian",
     "as_density",
     "as_effect",
@@ -107,13 +106,6 @@ def unvec(v: np.ndarray, d_row: int, d_col: int | None = None) -> np.ndarray:
     if d_col is None:
         d_col = d_row
     return np.asarray(v, dtype=complex).reshape(d_row, d_col)
-
-
-def hermitian_part(a) -> np.ndarray:
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise OperatorError(f"hermitian part needs a square matrix, got {a.shape}")
-    return 0.5 * (a + dagger(a))
 
 
 def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:

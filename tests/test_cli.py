@@ -100,6 +100,30 @@ def test_check_meas_stalled_still_exits_0(tmp_path):
     assert any("PPT exact" in n for n in report["result"]["notes"])
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_check_meas_nonpositive_budget_exits_2(tmp_path, budget):
+    path = _write(tmp_path, "pvm.json", {
+        "effects": [operator_to_json(np.diag([1.0, 0.0])),
+                    operator_to_json(np.diag([0.0, 1.0]))]})
+    assert main(["check-meas", "--input", path, "--budget", budget]) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    7,
+    {"labels": 5, "projections": [], "subsets": []},
+    {"labels": ["x"], "projections": 5, "subsets": [["x"]]},
+    {"labels": ["x"], "projections": [operator_to_json(np.eye(1))], "subsets": [1]},
+])
+def test_pvm_embed_malformed_document_exits_2(tmp_path, doc):
+    assert main(["pvm-embed", "--input", _write(tmp_path, "embed.json", doc)]) == 2
+
+
+@pytest.mark.parametrize("subcommand", ["cv-q", "cv-shift"])
+def test_cv_level_cap_exits_2(subcommand, capsys):
+    assert main([subcommand, "--levels", "65"]) == 2
+    assert "exceed the cap 64" in capsys.readouterr().err
+
+
 def test_pvm_embed_subcommand(tmp_path):
     projs = [np.diag([1.0 if i == k else 0.0 for i in range(3)]) for k in range(3)]
     path = _write(tmp_path, "embed.json", {

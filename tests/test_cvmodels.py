@@ -12,6 +12,7 @@ from broadcastlab.cvmodels import (
     qchannel_element_quadrature,
     qchannel_fixed_analysis,
     repair_to_commuting_projections,
+    TruncatedChannel,
     shift_channel_build,
     shift_channel_study,
     sweep_rows_to_csv,
@@ -110,6 +111,76 @@ def test_qchannel_number_operator_window_drifts_from_flat_slower():
 def test_qchannel_level_cap():
     with pytest.raises(OperatorError):
         qchannel_build(FockTruncation(65))
+
+
+def _dense_action(n, element):
+    """Brute-force n^2 x n^2 superoperator, <m|L(|j><k|)|nn> at row m*n+nn, column j*n+k."""
+    action = np.zeros((n * n, n * n))
+    for m in range(n):
+        for nn in range(n):
+            for j in range(n):
+                for k in range(n):
+                    action[m * n + nn, j * n + k] = element(m, nn, j, k)
+    return action
+
+
+def _shift_element(n):
+    return lambda m, nn, j, k: float(j == k and j + 1 < n and (m, nn) == (j + 1, k + 1))
+
+
+def _substochastic(n, seed):
+    """A classical trace-decreasing map |j><j| -> sum_m P[m, j] |m><m| with
+    column sums below 1, unequal to its row sums; it lives in the diagonal sector."""
+    p = np.random.default_rng(seed).random((n, n))
+    p *= np.linspace(0.3, 0.9, n) / p.sum(axis=0)
+    action = np.zeros((2 * n - 1, n, n))
+    action[n - 1] = p
+    return (TruncatedChannel(action, n),
+            _dense_action(n, lambda m, nn, j, k: p[m, j] if (m == nn and j == k) else 0.0))
+
+
+def _references(n):
+    return [(qchannel_build(FockTruncation(n)), _dense_action(n, qchannel_element)),
+            (shift_channel_build(FockTruncation(n)), _dense_action(n, _shift_element(n))),
+            _substochastic(n, seed=n)]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_sector_apply_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    for ch, ref in _references(n):
+        for _ in range(3):
+            t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            want = (ref @ t.reshape(-1)).reshape(n, n)
+            assert np.max(np.abs(ch.apply(t) - want)) <= 1e-14
+        traces = [np.trace(ref[:, j * n + j].reshape(n, n)) for j in range(n)]
+        assert ch.trace_defect_bound == pytest.approx(1.0 - min(traces), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_choi_blocks_match_dense_choi_spectrum(n):
+    for ch, ref in _references(n):
+        # J[a*n+m, b*n+nn] = <m|L(|a><b|)|nn>
+        dense = ref.reshape(n, n, n, n).transpose(2, 0, 3, 1).reshape(n * n, n * n)
+        blocks = ch.choi()
+        for g, block in zip(range(-(n - 1), n), blocks):
+            rows = [a * n + a + g for a in range(max(-g, 0), n - max(g, 0))]
+            np.testing.assert_allclose(block, dense[np.ix_(rows, rows)], rtol=0, atol=1e-15)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(dense), rtol=0, atol=1e-13)
+
+
+def test_cp_check_runs_above_32_levels():
+    ch = qchannel_build(FockTruncation(40))
+    with pytest.raises(OperatorError, match="not CP"):
+        TruncatedChannel(-ch.action, 40)
+
+
+def test_apply_rejects_wrong_operand_shape():
+    ch = shift_channel_build(FockTruncation(6))
+    for shape in [(7, 7), (6, 7), (5, 5)]:
+        with pytest.raises(OperatorError):
+            ch.apply(np.zeros(shape))
 
 
 def test_shift_ladder_action():

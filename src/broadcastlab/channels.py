@@ -26,6 +26,7 @@ __all__ = [
     "SymmetricLift",
     "apply",
     "choi_transform",
+    "choi_from_superoperator",
     "choi_to_kraus",
     "symmetrize",
     "symmetric_lift",
@@ -165,10 +166,7 @@ class MeasurePrepareChannel:
         return out
 
     def choi(self) -> ChoiChannel:
-        j = np.zeros((self.d_in * self.d_out,) * 2, dtype=complex)
-        for g, s in zip(self.povm.effects, self.states):
-            j += np.kron(g.T, s)
-        return ChoiChannel(j, self.d_in, self.d_out)
+        return choi_transform(self)
 
 
 class SymmetricLift:
@@ -226,14 +224,15 @@ def choi_transform(channel) -> ChoiChannel:
     if isinstance(channel, ChoiChannel):
         return channel
     d_in, d_out = channel.d_in, channel.d_out
-    j = np.zeros((d_in * d_out,) * 2, dtype=complex)
-    for k in range(d_in):
-        for l in range(d_in):
-            e = np.zeros((d_in, d_in), dtype=complex)
-            e[k, l] = 1.0
-            block = channel.apply_schrodinger(e)
-            j[k * d_out:(k + 1) * d_out, l * d_out:(l + 1) * d_out] = block
-    return ChoiChannel(j, d_in, d_out)
+    m = channel_matrix(channel, "schrodinger")
+    return ChoiChannel(choi_from_superoperator(m, d_in, d_out), d_in, d_out)
+
+
+def choi_from_superoperator(m, d_in: int, d_out: int) -> np.ndarray:
+    """Choi matrix of the map whose Schrodinger-picture `channel_matrix` is m:
+    J[k*d_out + a, l*d_out + b] = m[a*d_out + b, k*d_in + l]."""
+    blocks = np.asarray(m).reshape(d_out, d_out, d_in, d_in)
+    return blocks.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
 
 
 def choi_to_kraus(choi: ChoiChannel, tol: float = 1e-12) -> KrausChannel:

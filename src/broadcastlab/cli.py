@@ -37,6 +37,7 @@ from .operators import OperatorError, as_density, as_effect
 from .serialization import (
     SchemaError,
     _expect_keys,
+    _list_field,
     channel_from_json,
     channel_to_json,
     dumps_report,
@@ -98,26 +99,20 @@ def _config_dict(args) -> dict:
 
 def _load_states(path):
     doc = load_json_file(path)
-    if not isinstance(doc, dict) or "states" not in doc:
-        raise SchemaError("$.states: missing required field")
-    for key in doc:
-        if key != "states":
-            raise SchemaError(f"$.{key}: unknown field")
-    mats = [operator_from_json(s, f"$.states[{i}]") for i, s in enumerate(doc["states"])]
+    _expect_keys(doc, ("states",))
+    mats = [operator_from_json(s, f"$.states[{i}]")
+            for i, s in enumerate(_list_field(doc, "states"))]
     try:
         return [as_density(m) for m in mats]
     except OperatorError as exc:
         raise SchemaError(f"$.states: {exc}") from exc
 
 
-def _load_effects(path, optional=("picture", "channel", "epsilon")):
+def _load_effects(path, required=("effects",), optional=("picture", "channel", "epsilon")):
     doc = load_json_file(path)
-    if not isinstance(doc, dict) or "effects" not in doc:
-        raise SchemaError("$.effects: missing required field")
-    for key in doc:
-        if key != "effects" and key not in optional:
-            raise SchemaError(f"$.{key}: unknown field")
-    mats = [operator_from_json(e, f"$.effects[{i}]") for i, e in enumerate(doc["effects"])]
+    _expect_keys(doc, required, optional)
+    mats = [operator_from_json(e, f"$.effects[{i}]")
+            for i, e in enumerate(_list_field(doc, "effects"))]
     try:
         effects = [as_effect(m) for m in mats]
     except OperatorError as exc:
@@ -174,12 +169,10 @@ def _run_pvm_embed(args) -> dict:
 
     if not label_list(doc["labels"]):
         raise SchemaError("$.labels: expected a list of strings or numbers")
-    if not isinstance(doc["projections"], list):
-        raise SchemaError("$.projections: expected a list of operators")
     if not (isinstance(doc["subsets"], list) and all(map(label_list, doc["subsets"]))):
         raise SchemaError("$.subsets: expected a list of label lists")
     projections = [operator_from_json(p, f"$.projections[{i}]")
-                   for i, p in enumerate(doc["projections"])]
+                   for i, p in enumerate(_list_field(doc, "projections"))]
     args.tol = args.tol if args.tol is not None else 1e-10
     embedding = pvm_embed(doc["labels"], projections,
                           [set(s) for s in doc["subsets"]], tol=args.tol)
@@ -200,13 +193,13 @@ def _run_pvm_embed(args) -> dict:
 
 def _run_approx_check(args) -> dict:
     args.tol = args.tol if args.tol is not None else 1e-10
-    effects, doc = _load_effects(args.input)
-    if "channel" not in doc:
-        raise SchemaError("$.channel: missing required field")
-    if "epsilon" not in doc:
-        raise SchemaError("$.epsilon: missing required field")
+    effects, doc = _load_effects(args.input, required=("effects", "channel", "epsilon"),
+                                 optional=("picture",))
+    epsilon = doc["epsilon"]
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
+        raise SchemaError(f"$.epsilon: expected a number, got {type(epsilon).__name__}")
     channel = channel_from_json(doc["channel"], "$.channel")
-    result: ApproxCheckResult = approx_check(effects, channel, float(doc["epsilon"]))
+    result: ApproxCheckResult = approx_check(effects, channel, float(epsilon))
     return {
         "verdict": "pass" if result.passed else "fail",
         "witness": None,
@@ -218,11 +211,7 @@ def _run_approx_check(args) -> dict:
 
 def _run_fixpoints(args) -> dict:
     doc = load_json_file(args.input)
-    if not isinstance(doc, dict) or "channel" not in doc:
-        raise SchemaError("$.channel: missing required field")
-    for key in doc:
-        if key != "channel":
-            raise SchemaError(f"$.{key}: unknown field")
+    _expect_keys(doc, ("channel",))
     channel = channel_from_json(doc["channel"], "$.channel")
     tol = args.tol = args.tol if args.tol is not None else 1e-9
     return fixedpoint_report(channel, tol=tol, seed=args.seed)

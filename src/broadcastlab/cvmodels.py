@@ -15,6 +15,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, roots_laguerre, roots_legendre
 
+from .fixedpoint import _cesaro_means
 from .operators import (
     OperatorError,
     as_complex_matrix,
@@ -256,20 +257,9 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
         dev = frob_norm(block - c * np.eye(window))
         return float(dev), float(dev / max(frob_norm(block), 1e-300))
 
-    x = channel._to_sectors(a)
-    total = x.copy()
-    checkpoints = {}
-    checkpoints_shape = {}
-    marks = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, n_terms}
-    avg_mat = a.copy()
-    for t in range(1, n_terms + 1):
-        if t > 1:
-            x = channel.action @ x
-            total += x
-        if t in marks:
-            avg_mat = channel._from_sectors(total / t)
-            checkpoints[t], checkpoints_shape[t] = window_distance(avg_mat)
-    final_dev, final_shape = window_distance(avg_mat)
+    marks = {2 ** k for k in range(14) if 2 ** k < n_terms} | {n_terms}
+    means = _cesaro_means(lambda x: channel.action @ x, channel._to_sectors(a), marks)
+    dist = {t: window_distance(channel._from_sectors(mean)) for t, mean in means.items()}
     return {
         "levels": n,
         "window": window,
@@ -277,10 +267,10 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
         "seed": seed,
         "eigenvalue_moduli_top": [float(v) for v in moduli[:10]],
         "second_largest_modulus": float(moduli[1]) if len(moduli) > 1 else 0.0,
-        "window_distance_by_terms": {str(k): v for k, v in sorted(checkpoints.items())},
-        "window_shape_distance_by_terms": {str(k): v for k, v in sorted(checkpoints_shape.items())},
-        "final_window_distance": final_dev,
-        "final_window_shape_distance": final_shape,
+        "window_distance_by_terms": {str(t): v[0] for t, v in dist.items()},
+        "window_shape_distance_by_terms": {str(t): v[1] for t, v in dist.items()},
+        "final_window_distance": dist[n_terms][0],
+        "final_window_shape_distance": dist[n_terms][1],
         "trace_defect_bound": channel.trace_defect_bound,
     }
 
@@ -320,18 +310,9 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
     ground = np.zeros((n, n), dtype=complex)
     ground[0, 0] = 1.0
 
-    masses = {}
-    for steps in n_steps:
-        per_state = []
-        for rho in (ground, random_state):
-            x = rho.copy()
-            total = x.copy()
-            for _ in range(1, steps):
-                x = channel.apply(x)
-                total += x
-            avg = total / steps
-            per_state.append(float(np.real(np.trace(avg[:window, :window]))))
-        masses[steps] = per_state
+    means = [_cesaro_means(channel.apply, rho, set(n_steps)) for rho in (ground, random_state)]
+    masses = {steps: [float(np.real(np.trace(m[steps][:window, :window]))) for m in means]
+              for steps in n_steps}
 
     svals = np.concatenate([np.linalg.svd(b - np.eye(len(b)), compute_uv=False)
                             for b in channel.sector_blocks()])

@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import MeasurePrepareChannel, apply, channel_matrix, symmetric_lift
+from .channels import (MeasurePrepareChannel, apply, channel_matrix, choi_from_superoperator,
+                       symmetric_lift)
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     DiscretePOVM,
@@ -70,11 +71,10 @@ class FixedPointSpace:
 
 def _nullspace(m: np.ndarray, rel_tol: float):
     """Orthonormal nullspace columns and the ascending singular-value ladder."""
-    svals = np.linalg.svd(m, compute_uv=False)
-    smax = svals.max(initial=0.0)
-    if smax == 0.0:
-        return np.eye(m.shape[1], dtype=complex), np.sort(svals)
     _, s, vh = np.linalg.svd(m)
+    smax = s.max(initial=0.0)
+    if smax == 0.0:
+        return np.eye(m.shape[1], dtype=complex), np.sort(s)
     thr = rel_tol * smax
     keep = s <= thr
     # svd pads s only for square m here; guard against wide/tall anyway
@@ -172,9 +172,22 @@ def cesaro_apply(channel, a, n_terms: int = 1000, early_stop_tol: float = 1e-12,
         avg = new_avg
         if residual <= early_stop_tol:
             return CesaroResult(avg, n, residual, True)
-    if n_terms == 1:
-        residual = np.inf
     return CesaroResult(avg, n_terms, float(residual), residual <= early_stop_tol)
+
+
+def _cesaro_means(step, x, marks) -> dict:
+    """Cesaro means {t: (1/t) sum_{k<t} step^k(x)} at every t in `marks`, in one pass."""
+    if min(marks) < 1:
+        raise ValueError("Cesaro lengths must be >= 1")
+    total = x.copy()
+    means = {}
+    for t in range(1, max(marks) + 1):
+        if t > 1:
+            x = step(x)
+            total += x
+        if t in marks:
+            means[t] = total / t
+    return means
 
 
 def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
@@ -189,17 +202,7 @@ def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
     lmat = channel_matrix(channel, picture="heisenberg")
     n = lmat.shape[0]
     if method == "cesaro":
-        term = np.eye(n, dtype=complex)
-        total = term.copy()
-        avg = total.copy()
-        for k in range(2, n_terms + 1):
-            term = lmat @ term
-            total += term
-            new_avg = total / k
-            if frob_norm(new_avg - avg) <= 1e-14:
-                return new_avg
-            avg = new_avg
-        return avg
+        return _cesaro_means(lambda t: lmat @ t, np.eye(n, dtype=complex), {n_terms})[n_terms]
     if method != "spectral":
         raise ValueError(f"unknown psi_0 method {method!r}")
     right, _ = _nullspace(lmat - np.eye(n), tol)
@@ -300,13 +303,7 @@ class BroadcastingAlgebra:
         return float(np.max(np.abs(left - right)))
 
     def _psi0_cp_residual(self) -> float:
-        d = self.d
-        choi = np.zeros((d * d, d * d), dtype=complex)
-        for k in range(d):
-            for l in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[k, l] = 1.0
-                choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = self.project(e)
+        choi = choi_from_superoperator(self.projector, self.d, self.d)
         w = np.linalg.eigvalsh(0.5 * (choi + dagger(choi)))
         return float(max(0.0, -w.min()))
 
@@ -486,7 +483,10 @@ def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0,
                       include_algebra: bool = True) -> dict:
     """JSON-ready fixed-point report: basis dimension, singular-value ladder,
     product-table residuals, and atoms with the tolerances that produced them."""
-    space = fixed_space(channel, tol=tol)
+    algebra = None
+    if include_algebra and isinstance(channel, MeasurePrepareChannel):
+        algebra = BroadcastingAlgebra(channel, tol=tol)
+    space = algebra.space if algebra is not None else fixed_space(channel, tol=tol)
     report = {
         "dimension": channel.d_in,
         "tolerance": tol,
@@ -495,8 +495,7 @@ def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0,
         "singular_value_ladder": list(space.singular_values),
         "singular_part": "identically zero at finite dimension; not probed here",
     }
-    if include_algebra and isinstance(channel, MeasurePrepareChannel):
-        algebra = BroadcastingAlgebra(channel, tol=tol)
+    if algebra is not None:
         decomp = atomic_decomposition(algebra, seed=seed)
         from .serialization import operator_to_json  # local import to avoid a cycle
 

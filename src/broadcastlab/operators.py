@@ -32,8 +32,6 @@ __all__ = [
     "commutator_defect",
     "simultaneous_diagonalize",
     "hermitian_basis",
-    "random_unitary",
-    "random_density",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -318,19 +316,3 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
             basis.append(f)
     return basis
 
-
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR with phase fixing."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
-def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density operator (full rank by default)."""
-    r = rank if rank is not None else d
-    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    rho = g @ dagger(g)
-    return rho / np.real(np.trace(rho))

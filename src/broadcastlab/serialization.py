@@ -42,6 +42,14 @@ def _expect_keys(obj, required, optional=(), path="$"):
             raise SchemaError(f"{path}.{key}: unknown field")
 
 
+def _list_field(obj, key, path="$") -> list:
+    """obj[key], which must be a JSON list."""
+    value = obj[key]
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key}: expected a list, got {type(value).__name__}")
+    return value
+
+
 def operator_to_json(matrix) -> dict:
     m = as_complex_matrix(matrix)
     return {
@@ -99,20 +107,22 @@ def channel_from_json(obj, path="$"):
     if kind == "kraus":
         _expect_keys(obj, ("kind", "d_in", "d_out", "kraus_ops"), path=path)
         ops = [operator_from_json(k, f"{path}.kraus_ops[{i}]")
-               for i, k in enumerate(obj["kraus_ops"])]
+               for i, k in enumerate(_list_field(obj, "kraus_ops", path))]
         ch = KrausChannel(ops)
     elif kind == "choi":
         _expect_keys(obj, ("kind", "d_in", "d_out", "matrix"), path=path)
+        if not all(isinstance(obj[k], int) and obj[k] >= 1 for k in ("d_in", "d_out")):
+            raise SchemaError(f"{path}.d_in/d_out: need positive integers")
         ch = ChoiChannel(operator_from_json(obj["matrix"], f"{path}.matrix"),
                          obj["d_in"], obj["d_out"])
     elif kind == "measure_prepare":
         _expect_keys(obj, ("kind", "d_in", "d_out", "povm", "states"),
                      optional=("labels",), path=path)
         effects = [operator_from_json(g, f"{path}.povm[{i}]")
-                   for i, g in enumerate(obj["povm"])]
+                   for i, g in enumerate(_list_field(obj, "povm", path))]
         states = [operator_from_json(s, f"{path}.states[{i}]")
-                  for i, s in enumerate(obj["states"])]
-        labels = tuple(obj["labels"]) if "labels" in obj else None
+                  for i, s in enumerate(_list_field(obj, "states", path))]
+        labels = tuple(_list_field(obj, "labels", path)) if "labels" in obj else None
         try:
             ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects), labels), states)
         except (OperatorError, ValueError) as exc:
@@ -145,7 +155,7 @@ def _parse_known(obj):
     if isinstance(obj, dict) and "states" in obj and "dim_row" not in obj:
         _expect_keys(obj, ("states",), path="$")
         return [operator_from_json(s, f"$.states[{i}]")
-                for i, s in enumerate(obj["states"])], "state_set"
+                for i, s in enumerate(_list_field(obj, "states"))], "state_set"
     if isinstance(obj, dict) and "effects" in obj:
         _expect_keys(obj, ("effects",), optional=("picture", "channel", "epsilon"), path="$")
         return obj, "effect_set"

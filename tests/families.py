@@ -7,9 +7,24 @@ from broadcastlab.operators import (
     DiscretePOVM,
     commutator_defect,
     dagger,
-    random_density,
-    random_unitary,
 )
+
+
+def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-ish random unitary via QR with phase fixing."""
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    ph = np.diag(r).copy()
+    ph /= np.abs(ph)
+    return q * ph
+
+
+def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
+    """Random density operator (full rank by default)."""
+    r = rank if rank is not None else d
+    g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+    rho = g @ dagger(g)
+    return rho / np.real(np.trace(rho))
 
 
 def random_commuting_states(d, n, rng):

@@ -9,6 +9,7 @@ import pytest
 
 from families import (
     random_commuting_states,
+    random_density,
     random_eb_channel,
     random_hermitian,
     random_noncommuting_states,
@@ -44,7 +45,6 @@ from broadcastlab.operators import (
     frob_norm,
     hermitian_basis,
     partial_trace,
-    random_density,
     trace_norm,
 )
 from broadcastlab.serialization import operator_to_json

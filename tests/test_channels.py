@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from families import random_eb_channel, random_hermitian
+from families import random_density, random_eb_channel, random_hermitian, random_unitary
 
 from broadcastlab.channels import (
     ChannelError,
@@ -21,8 +21,6 @@ from broadcastlab.operators import (
     dagger,
     op_norm,
     partial_transpose,
-    random_density,
-    random_unitary,
     vec,
 )
 
@@ -46,6 +44,30 @@ def test_measure_prepare_choi_matches_direct_sum():
     j = choi_transform(ch).matrix
     direct = sum(np.kron(g.T, s) for g, s in zip(ch.povm.effects, ch.states))
     np.testing.assert_allclose(j, direct, atol=1e-12)
+
+
+def _choi_by_basis_sweep(ch):
+    """Reference Choi matrix: apply the channel to every |k><l| and place the block."""
+    d_in, d_out = ch.d_in, ch.d_out
+    j = np.zeros((d_in * d_out, d_in * d_out), dtype=complex)
+    for k in range(d_in):
+        for l in range(d_in):
+            e = np.zeros((d_in, d_in), dtype=complex)
+            e[k, l] = 1.0
+            j[k * d_out:(k + 1) * d_out, l * d_out:(l + 1) * d_out] = ch.apply_schrodinger(e)
+    return j
+
+
+def test_choi_transform_matches_basis_sweep():
+    rng = np.random.default_rng(25)
+    # a 2 -> 3 channel from a random 6 x 2 isometry cut into two 3 x 2 Kraus operators
+    z = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    iso, _ = np.linalg.qr(z)
+    kraus = KrausChannel([iso[:3], iso[3:]])
+    assert (kraus.d_in, kraus.d_out) == (2, 3)
+    mp = random_eb_channel(3, rng, kind="generic")
+    for ch, j in ((kraus, choi_transform(kraus).matrix), (mp, mp.choi().matrix)):
+        np.testing.assert_allclose(j, _choi_by_basis_sweep(ch), rtol=0, atol=1e-14)
 
 
 def test_kraus_choi_kraus_roundtrip():

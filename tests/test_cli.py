@@ -118,6 +118,27 @@ def test_pvm_embed_malformed_document_exits_2(tmp_path, doc):
     assert main(["pvm-embed", "--input", _write(tmp_path, "embed.json", doc)]) == 2
 
 
+_PINCH_2 = [operator_to_json(np.diag([1.0, 0.0])), operator_to_json(np.diag([0.0, 1.0]))]
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("check-states", {"states": 7}),
+    ("check-meas", {"effects": 3}),
+    ("fixpoints", {"channel": {"kind": "kraus", "d_in": 2, "d_out": 2, "kraus_ops": 5}}),
+    ("fixpoints", {"channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                               "povm": 5, "states": _PINCH_2}}),
+    ("fixpoints", {"channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                               "povm": _PINCH_2, "states": _PINCH_2, "labels": 5}}),
+    ("fixpoints", {"channel": {"kind": "choi", "d_in": "2", "d_out": 2,
+                               "matrix": operator_to_json(np.eye(4) / 2)}}),
+    ("approx-check", {"effects": _PINCH_2, "epsilon": [1],
+                      "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                                  "povm": _PINCH_2, "states": _PINCH_2}}),
+])
+def test_field_of_wrong_json_type_exits_2(tmp_path, subcommand, doc):
+    assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
+
+
 @pytest.mark.parametrize("subcommand", ["cv-q", "cv-shift"])
 def test_cv_level_cap_exits_2(subcommand, capsys):
     assert main([subcommand, "--levels", "65"]) == 2

@@ -3,9 +3,11 @@ import pytest
 
 from families import (
     random_commuting_states,
+    random_density,
     random_eb_channel,
     random_noncommuting_states,
     random_pvm,
+    random_unitary,
 )
 
 from broadcastlab.channels import MeasurePrepareChannel, choi_transform
@@ -28,8 +30,6 @@ from broadcastlab.operators import (
     hermitian_basis,
     op_norm,
     partial_trace,
-    random_density,
-    random_unitary,
     trace_norm,
 )
 

@@ -204,6 +204,13 @@ def test_shift_study_window_mass_bound():
             assert m <= bound + 1e-12
 
 
+def test_shift_study_masses_independent_of_step_order():
+    trunc = FockTruncation(8)
+    forward = shift_channel_study(trunc, n_steps=(10, 100))["window_mass"]
+    backward = shift_channel_study(trunc, n_steps=(100, 10))["window_mass"]
+    assert forward == backward
+
+
 def test_shift_fixed_space_trivial():
     rep = shift_channel_study(FockTruncation(24))
     assert rep["fixed_space_dimension"] == 0

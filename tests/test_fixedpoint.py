@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from families import random_eb_channel, random_hermitian
+from families import random_density, random_eb_channel, random_hermitian, random_unitary
 
-from broadcastlab.channels import KrausChannel, MeasurePrepareChannel
+from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, channel_matrix
 from broadcastlab.config import DimensionCapError
 from broadcastlab.fixedpoint import (
     BroadcastingAlgebra,
@@ -20,8 +20,6 @@ from broadcastlab.operators import (
     OperatorError,
     dagger,
     frob_norm,
-    random_density,
-    random_unitary,
     vec,
 )
 
@@ -143,6 +141,19 @@ def test_psi0_two_methods_agree_for_pinching():
     np.testing.assert_allclose(spectral, channel_matrix(ch, "heisenberg"), atol=1e-9)
 
 
+def test_psi0_cesaro_matches_sequential_average():
+    rng = np.random.default_rng(34)
+    ch = random_eb_channel(3, rng, kind="generic")
+    lmat = channel_matrix(ch, "heisenberg")
+    term = np.eye(9, dtype=complex)
+    total = term.copy()
+    for _ in range(36):
+        term = lmat @ term
+        total = total + term
+    np.testing.assert_allclose(psi0_matrix(ch, method="cesaro", n_terms=37), total / 37,
+                               rtol=0, atol=1e-13)
+
+
 def test_product_unit_law():
     rng = np.random.default_rng(33)
     alg = BroadcastingAlgebra(random_eb_channel(4, rng, kind="norm1"))
@@ -259,6 +270,20 @@ def test_psi0_idempotent_intertwining_cp():
     assert alg.intertwining_residual <= 1e-8
     assert alg.psi0_cp_residual <= 1e-8
     assert alg.cesaro_cross_residual <= 5e-2
+
+
+def test_psi0_cp_residual_matches_projected_basis_choi():
+    rng = np.random.default_rng(43)
+    alg = BroadcastingAlgebra(random_eb_channel(3, rng, kind="norm1"))
+    d = alg.d
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[k, l] = 1.0
+            choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = alg.project(e)
+    w = np.linalg.eigvalsh(0.5 * (choi + dagger(choi)))
+    assert alg.psi0_cp_residual == pytest.approx(max(0.0, -w.min()), rel=0, abs=1e-15)
 
 
 def test_cstar_identity_from_product_table():

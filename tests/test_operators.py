@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from families import random_density, random_unitary
+
 from broadcastlab.channels import swap_unitary
 from broadcastlab.operators import (
     DiscretePOVM,
@@ -15,8 +17,6 @@ from broadcastlab.operators import (
     op_norm,
     partial_trace,
     partial_transpose,
-    random_density,
-    random_unitary,
     simultaneous_diagonalize,
 )
 

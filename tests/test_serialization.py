@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from families import random_density
+
 from broadcastlab.channels import MeasurePrepareChannel
-from broadcastlab.operators import DiscretePOVM, random_density
+from broadcastlab.operators import DiscretePOVM
 from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,

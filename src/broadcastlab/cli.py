@@ -1,13 +1,15 @@
 """Batch experiment runner: load operator/channel JSON, dispatch the deciders
 and CV sweeps, emit deterministic JSON reports (and CSV for sweeps).
 
-Exit codes: 0 completed analysis (any verdict), 2 parse/schema failure,
-3 dimension cap exceeded, 4 internal numerical failure."""
+Exit codes: 0 completed analysis (any verdict), 2 parse/schema failure or an
+invalid option value, 3 dimension cap or memory exhausted, 4 internal
+numerical failure."""
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -290,6 +292,10 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        print(f"error: invalid input: --tol must be finite and positive, got {args.tol!r}",
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
         report = run(args)
     except (SchemaError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError) as exc:
@@ -297,6 +303,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except DimensionCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"error: resource limit: out of memory ({exc or 'allocation failed'})",
+              file=sys.stderr)
         return EXIT_CAP
     except (OperatorError, ValueError) as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)

@@ -6,6 +6,8 @@ constructive extension of quasi-linear effect functionals."""
 
 from __future__ import annotations
 
+import functools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +26,6 @@ from .operators import (
     dagger,
     frob_norm,
     hermitian_basis,
-    hs_inner,
     op_norm,
     partial_trace,
     partial_transpose,
@@ -49,6 +50,11 @@ __all__ = [
 ]
 
 PPT_NOTE = "PPT exact for 2x2 and 2x3, relaxation otherwise"
+# cycles between two progress records of the Dykstra search
+PROGRESS_EVERY = 100
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -264,29 +270,56 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
 
 
 # ---------------------------------------------------------------------------
-# measurement-set feasibility (Dykstra-corrected alternating projections)
+# measurement-set feasibility (Dykstra alternating projections)
 
 
-def _herm_coords(a, basis) -> np.ndarray:
-    return np.array([np.real(hs_inner(h, a)) for h in basis])
+@functools.lru_cache(maxsize=None)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pairs k < l, in the order of `hermitian_basis(n)`."""
+    k, l = np.triu_indices(n, 1)
+    k.flags.writeable = l.flags.writeable = False
+    return k, l
 
 
-def _herm_from_coords(x, basis, d) -> np.ndarray:
-    out = np.zeros((d, d), dtype=complex)
-    for c, h in zip(x, basis):
-        out += c * h
+def _herm_coords(a, n: int) -> np.ndarray:
+    """Coordinates Re tr(h^dagger a) of `a` over `hermitian_basis(n)`, batched over
+    leading axes: the diagonal, then for each pair k < l the symmetric and the
+    antisymmetric element."""
+    k, l = _pair_indices(n)
+    a = np.asarray(a)
+    upper, lower = a[..., k, l], a[..., l, k]
+    pairs = np.stack([(upper.real + lower.real) * _SQRT_HALF,
+                      (lower.imag - upper.imag) * _SQRT_HALF], axis=-1)
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, pairs.reshape(a.shape[:-2] + (-1,))], axis=-1)
+
+
+def _herm_from_coords(x, n: int) -> np.ndarray:
+    """Hermitian n x n matrices from coordinates over `hermitian_basis(n)`,
+    batched over leading axes."""
+    k, l = _pair_indices(n)
+    x = np.asarray(x)
+    out = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
+    diag = np.arange(n)
+    out[..., diag, diag] = x[..., :n]
+    sym, anti = x[..., n::2] * _SQRT_HALF, x[..., n + 1::2] * _SQRT_HALF
+    out[..., k, l] = sym - 1j * anti
+    out[..., l, k] = sym + 1j * anti
     return out
 
 
 class FeasibilityProblem:
     """Affine-plus-cone description of the EB fixed-point search.
 
-    The variable is the Choi matrix J of a candidate channel on C^d.  Affine
-    rows enforce trace preservation and the fixed-point conditions for each
-    effect; cone membership (PSD and PPT, the EB relaxation) is handled by
-    projection.  `picture` selects whether the effects are fixed by the
-    Heisenberg dual (the broadcastability condition) or by the Schrodinger
-    action; the two coincide on the commuting instances decided here.
+    The variable is the Choi matrix J of a candidate channel on C^d, held as
+    its real coordinates over `hermitian_basis(d^2)` (a Hilbert-Schmidt
+    isometry, so every projection below is orthogonal in the Frobenius
+    metric).  Affine rows enforce trace preservation and the fixed-point
+    conditions for each effect; cone membership (PSD and PPT, the EB
+    relaxation) is handled by projection.  `picture` selects whether the
+    effects are fixed by the Heisenberg dual (the broadcastability condition)
+    or by the Schrodinger action; the two coincide on the commuting instances
+    decided here.
     """
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
@@ -311,60 +344,71 @@ class FeasibilityProblem:
         self.stall_window = int(stall_window)
         self.cones = ("psd", "ppt")
 
-        dd = d * d
-        self._choi_basis = hermitian_basis(dd)
-        self._out_basis = hermitian_basis(d)
+        # Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
+        # Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of
+        # L*(g_r), the adjoint of the constraint map L applied to the output
+        # basis element g_r: one batched image per constraint.  Trace
+        # preservation L(J) = tr_2 J has L*(g) = g (x) I; the Heisenberg
+        # condition L(J) = tr_2[J (I (x) E)]^T has L*(g) = g^T (x) E; the
+        # Schrodinger one L(J) = tr_1[J (E^T (x) I)] has L*(g) = E^T (x) g.
+        out_basis = _herm_from_coords(np.eye(d * d), d)
         eye = np.eye(d)
 
-        def constraint_images(h):
-            images = [partial_trace(h, (d, d), side=2)]  # trace preservation
-            for e in self.effects:
-                if picture == "heisenberg":
-                    images.append(partial_trace(h @ np.kron(eye, e), (d, d), side=2).T)
-                else:
-                    images.append(partial_trace(h @ np.kron(e.T, eye), (d, d), side=1))
-            return images
+        def block(left, right):
+            return _herm_coords(np.einsum("...ab,...ij->...aibj", left, right)
+                                .reshape(d * d, d * d, d * d), d * d)
 
-        n_rows = (1 + len(self.effects)) * d * d
-        a = np.zeros((n_rows, dd * dd))
-        for i, h in enumerate(self._choi_basis):
-            col = np.concatenate([_herm_coords(img, self._out_basis)
-                                  for img in constraint_images(h)])
-            a[:, i] = col
-        targets = [eye] + [e for e in self.effects]
-        b = np.concatenate([_herm_coords(t, self._out_basis) for t in targets])
-        self.affine_matrix = a
-        self.affine_rhs = b
-        self._affine_pinv = np.linalg.pinv(a, rcond=1e-12)
+        blocks = [block(out_basis, eye)]
+        for e in self.effects:
+            if picture == "heisenberg":
+                blocks.append(block(out_basis.transpose(0, 2, 1), e))
+            else:
+                blocks.append(block(e.T, out_basis))
+        self.affine_matrix = np.concatenate(blocks)
+        self.affine_rhs = _herm_coords(np.stack((eye,) + self.effects), d).ravel()
+        self._affine_pinv = np.linalg.pinv(self.affine_matrix, rcond=1e-12)
+
+    @functools.cached_property
+    def _choi_basis(self) -> list[np.ndarray]:
+        return hermitian_basis(self.dim ** 2)
 
     # projections, all orthogonal in the Frobenius metric
+    def _affine_step(self, x: np.ndarray) -> np.ndarray:
+        return self._affine_pinv @ (self.affine_matrix @ x - self.affine_rhs)
+
     def project_affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self._affine_pinv @ (self.affine_matrix @ x - self.affine_rhs)
+        return x - self._affine_step(x)
 
     def _project_psd_matrix(self, j: np.ndarray) -> np.ndarray:
         w, v = np.linalg.eigh(0.5 * (j + dagger(j)))
         return (v * np.clip(w, 0.0, None)) @ dagger(v)
 
     def project_psd(self, x: np.ndarray) -> np.ndarray:
-        j = _herm_from_coords(x, self._choi_basis, self.dim ** 2)
-        return _herm_coords(self._project_psd_matrix(j), self._choi_basis)
+        n = self.dim ** 2
+        return _herm_coords(self._project_psd_matrix(_herm_from_coords(x, n)), n)
 
     def project_ppt(self, x: np.ndarray) -> np.ndarray:
         d = self.dim
-        j = _herm_from_coords(x, self._choi_basis, d * d)
-        jt = partial_transpose(j, (d, d), side=1)
+        jt = partial_transpose(_herm_from_coords(x, d * d), (d, d), side=1)
         jt = self._project_psd_matrix(jt)
-        return _herm_coords(partial_transpose(jt, (d, d), side=1), self._choi_basis)
+        return _herm_coords(partial_transpose(jt, (d, d), side=1), d * d)
 
     def residuals(self, x: np.ndarray) -> dict:
+        """Distances from `x` to the three sets: for the cones, the norm of the
+        negative eigenvalues of J and of its partial transpose (the isometries
+        carry ||x - P(x)|| over to them); for the affine set, the step length."""
+        d = self.dim
+        j = _herm_from_coords(x, d * d)
+        w = np.linalg.eigvalsh(j)
+        wt = np.linalg.eigvalsh(partial_transpose(j, (d, d), side=1))
         return {
-            "psd": float(np.linalg.norm(x - self.project_psd(x))),
-            "ppt": float(np.linalg.norm(x - self.project_ppt(x))),
-            "affine": float(np.linalg.norm(x - self.project_affine(x))),
+            "psd": float(np.linalg.norm(np.minimum(w, 0.0))),
+            "ppt": float(np.linalg.norm(np.minimum(wt, 0.0))),
+            "affine": float(np.linalg.norm(self._affine_step(x))),
         }
 
     def choi_from_coords(self, x: np.ndarray) -> np.ndarray:
-        return _herm_from_coords(x, self._choi_basis, self.dim ** 2)
+        return _herm_from_coords(x, self.dim ** 2)
 
 
 @dataclass(frozen=True)
@@ -401,22 +445,23 @@ def _rank_one_regroup(choi: ChoiChannel, tol: float = 1e-6) -> MeasurePrepareCha
 
 def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdict:
     """Search for an entanglement-breaking (PPT-relaxed) channel fixing the
-    effects, by Dykstra-corrected alternating projections on
-    PSD -> PPT -> affine.
+    effects, by Dykstra alternating projections on PSD -> PPT -> affine.
+
+    The cones carry Dykstra corrections; the affine set needs none, because
+    its correction lies in the row space of the constraint matrix, which the
+    affine projection removes again: P_A(x + c) = P_A(x).
 
     Feasibility means every residual fell below `problem.tol` within budget;
     stalling (no relative progress over `stall_window` cycles while the best
     residual stays above 10 * tol) is reported as such, never as an
-    infeasibility certificate.
+    infeasibility certificate.  Every `PROGRESS_EVERY` cycles one DEBUG record
+    gives the cycle, the three residuals, the best residual and the cycles
+    since it last improved.
     """
     d = problem.dim
-    x = _herm_coords(np.eye(d * d, dtype=complex) / d, problem._choi_basis)
-    corrections = {name: np.zeros_like(x) for name in ("psd", "ppt", "affine")}
-    projections = {
-        "psd": problem.project_psd,
-        "ppt": problem.project_ppt,
-        "affine": problem.project_affine,
-    }
+    x = _herm_coords(np.eye(d * d) / d, d * d)
+    corrections = {"psd": np.zeros_like(x), "ppt": np.zeros_like(x)}
+    projections = {"psd": problem.project_psd, "ppt": problem.project_ppt}
 
     notes = [PPT_NOTE]
     if d > 3:
@@ -436,10 +481,11 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     else:
         for t in range(1, problem.budget + 1):
             cycles = t
-            for name in ("psd", "ppt", "affine"):
-                y = projections[name](x + corrections[name])
-                corrections[name] = x + corrections[name] - y
-                x = y
+            for name in ("psd", "ppt"):
+                z = x + corrections[name]
+                x = projections[name](z)
+                corrections[name] = z - x
+            x = problem.project_affine(x)
             res = problem.residuals(x)
             rmax = max(res.values())
             history.append(rmax)
@@ -449,6 +495,10 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
             if rmax < best * (1.0 - 1e-3):
                 best = rmax
                 last_improvement = t
+            if t % PROGRESS_EVERY == 0:
+                _log.debug("dykstra cycle %d: psd %.3e ppt %.3e affine %.3e, best %.3e, "
+                           "%d cycles since improvement", t, res["psd"], res["ppt"],
+                           res["affine"], best, t - last_improvement)
             if (t - last_improvement >= problem.stall_window
                     and best > 10.0 * problem.tol):
                 status = "infeasible_stalled"
@@ -573,8 +623,9 @@ class ExtendedFunctional:
             raise OperatorError("one row of values per supplied effect is required")
         self.values = vals
         self.n_samples = vals.shape[1]
-        self._basis = hermitian_basis(self.dim)
-        mat = np.stack([_herm_coords(e, self._basis) for e in self.effects], axis=1)
+        if any(e.shape != (self.dim, self.dim) for e in self.effects):
+            raise OperatorError(f"effects must be {self.dim} x {self.dim}")
+        mat = _herm_coords(np.stack(self.effects), self.dim).T
         self._expand_matrix = mat
         self._expand_pinv = np.linalg.pinv(mat, rcond=1e-12)
         self._validate()
@@ -598,9 +649,7 @@ class ExtendedFunctional:
 
         # additivity and homogeneity on the generating set, where applicable
         n = len(self.effects)
-        gram = {}
-        for i in range(n):
-            gram[i] = _herm_coords(self.effects[i], self._basis)
+        gram = self._expand_matrix.T
         for i in range(n):
             for j in range(i, n):
                 total = self.effects[i] + self.effects[j]
@@ -639,7 +688,9 @@ class ExtendedFunctional:
 
     # -- evaluation stages -------------------------------------------------
     def _expand(self, a) -> tuple[np.ndarray, float]:
-        target = _herm_coords(a, self._basis)
+        if np.shape(a) != (self.dim, self.dim):
+            raise OperatorError(f"operator must be {self.dim} x {self.dim}, got {np.shape(a)}")
+        target = _herm_coords(a, self.dim)
         coeffs = self._expand_pinv @ target
         resid = float(np.linalg.norm(self._expand_matrix @ coeffs - target))
         return coeffs, resid

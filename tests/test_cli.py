@@ -233,3 +233,29 @@ def test_report_embeds_effective_configuration(commuting_states_file, tmp_path):
                 "dimension_cap", "version"):
         assert key in config
     assert config["tol"] == 1e-8
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("subcommand", ["check-meas", "cv-q"])
+def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, subcommand, tol):
+    out = tmp_path / "report.json"
+    argv = [subcommand, "--tol", tol, "--output", str(out), "--budget", "50"]
+    if subcommand == "check-meas":
+        argv += ["--input", _write(tmp_path, "pvm.json", {"effects": _PINCH_2})]
+    else:
+        argv += ["--levels", "4"]
+    assert main(argv) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
+    import broadcastlab.cli as cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._RUNNERS, "check-meas", exhausted)
+    path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
+    assert main(["check-meas", "--input", path]) == 3
+    assert "resource limit" in capsys.readouterr().err

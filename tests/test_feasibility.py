@@ -1,0 +1,217 @@
+"""The Dykstra feasibility search on index-map coordinates, each piece checked
+against a reference built here from `hermitian_basis` and `partial_trace`."""
+
+import logging
+
+import numpy as np
+import pytest
+
+from families import random_density, random_unitary
+
+from broadcastlab.contextuality import (
+    FeasibilityProblem,
+    _herm_coords,
+    _herm_from_coords,
+    check_measurements_feasibility,
+    extend_effect_functional,
+)
+from broadcastlab.operators import OperatorError, hermitian_basis, hs_inner, partial_trace
+
+KET0 = np.diag([1.0, 0.0]).astype(complex)
+KET1 = np.diag([0.0, 1.0]).astype(complex)
+PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+
+
+def _basis_coords(a, n):
+    return np.array([np.real(hs_inner(h, a)) for h in hermitian_basis(n)])
+
+
+def _basis_matrix(x, n):
+    return sum(c * h for c, h in zip(x, hermitian_basis(n)))
+
+
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# -- coordinate maps ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coordinates_match_basis_inner_products(n):
+    rng = np.random.default_rng(100 + n)
+    a = _random_complex(rng, n, n)  # not Hermitian: Re tr(h^dagger a) all the same
+    assert np.allclose(_herm_coords(a, n), _basis_coords(a, n), atol=1e-14, rtol=0)
+    h = a + a.conj().T
+    assert np.allclose(_herm_coords(h, n), _basis_coords(h, n), atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_from_coordinates_matches_basis_sum(n):
+    rng = np.random.default_rng(110 + n)
+    x = rng.standard_normal(n * n)
+    m = _herm_from_coords(x, n)
+    assert np.allclose(m, _basis_matrix(x, n), atol=1e-14, rtol=0)
+    assert np.allclose(_herm_coords(m, n), x, atol=1e-14, rtol=0)
+    h = _random_complex(rng, n, n)
+    h = h + h.conj().T
+    assert np.allclose(_herm_from_coords(_herm_coords(h, n), n), h, atol=1e-14, rtol=0)
+
+
+def test_coordinate_maps_batch_over_leading_axes():
+    rng = np.random.default_rng(120)
+    a = _random_complex(rng, 2, 3, 4, 4)
+    coords = _herm_coords(a, 4)
+    assert coords.shape == (2, 3, 16)
+    for i in range(2):
+        for j in range(3):
+            assert np.allclose(coords[i, j], _basis_coords(a[i, j], 4), atol=1e-14, rtol=0)
+    x = rng.standard_normal((5, 9))
+    mats = _herm_from_coords(x, 3)
+    assert mats.shape == (5, 3, 3)
+    for i in range(5):
+        assert np.allclose(mats[i], _basis_matrix(x[i], 3), atol=1e-14, rtol=0)
+
+
+def test_functional_extension_rejects_operators_of_another_size():
+    # the index maps would read the leading block of a larger operator
+    with pytest.raises(OperatorError):
+        extend_effect_functional([np.eye(3)], [[1.0]], dim=2)
+    fun = extend_effect_functional([KET0, KET1], [[1.0], [0.0]], dim=2)
+    with pytest.raises(OperatorError):
+        fun.evaluate(np.eye(3))
+
+
+# -- affine system -------------------------------------------------------------
+
+
+def _reference_affine(effects, picture):
+    """The affine rows and right-hand side from a loop over hermitian_basis(d^2)."""
+    d = effects[0].shape[0]
+    eye = np.eye(d)
+    columns = []
+    for h in hermitian_basis(d * d):
+        images = [partial_trace(h, (d, d), side=2)]
+        for e in effects:
+            if picture == "heisenberg":
+                images.append(partial_trace(h @ np.kron(eye, e), (d, d), side=2).T)
+            else:
+                images.append(partial_trace(h @ np.kron(e.T, eye), (d, d), side=1))
+        columns.append(np.concatenate([_basis_coords(img, d) for img in images]))
+    rhs = np.concatenate([_basis_coords(t, d) for t in [eye] + list(effects)])
+    return np.stack(columns, axis=1), rhs
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_affine_system_matches_basis_loop(d, picture):
+    rng = np.random.default_rng(130 + d)
+    effects = [random_density(d, rng) for _ in range(3)]
+    problem = FeasibilityProblem(effects, picture=picture)
+    a, b = _reference_affine(problem.effects, picture)
+    assert problem.affine_matrix.shape == a.shape
+    assert np.max(np.abs(problem.affine_matrix - a)) <= 1e-13
+    assert np.max(np.abs(problem.affine_rhs - b)) <= 1e-13
+
+
+# -- residuals -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_residuals_equal_projection_distances(d, picture):
+    rng = np.random.default_rng(140 + d)
+    problem = FeasibilityProblem([random_density(d, rng) for _ in range(2)], picture=picture)
+    for _ in range(3):
+        x = rng.standard_normal(d ** 4)
+        res = problem.residuals(x)
+        assert res["psd"] == pytest.approx(
+            np.linalg.norm(x - problem.project_psd(x)), abs=1e-12)
+        assert res["ppt"] == pytest.approx(
+            np.linalg.norm(x - problem.project_ppt(x)), abs=1e-12)
+        assert res["affine"] == pytest.approx(
+            np.linalg.norm(x - problem.project_affine(x)), abs=1e-12)
+
+
+# -- the search loop -------------------------------------------------------------
+
+
+def _reference_search(problem):
+    """Dykstra with a correction on all three sets and residuals from the
+    projections: (status, cycles, residual history)."""
+    d = problem.dim
+    names = ("psd", "ppt", "affine")
+    project = {"psd": problem.project_psd, "ppt": problem.project_ppt,
+               "affine": problem.project_affine}
+
+    def rmax(x):
+        return max(np.linalg.norm(x - project[n](x)) for n in names)
+
+    x = _basis_coords(np.eye(d * d) / d, d * d)
+    corrections = {n: np.zeros_like(x) for n in names}
+    history = [rmax(x)]
+    if history[0] <= problem.tol:
+        return "feasible", 0, history
+    best, last = history[0], 0
+    for t in range(1, problem.budget + 1):
+        for n in names:
+            y = project[n](x + corrections[n])
+            corrections[n] = x + corrections[n] - y
+            x = y
+        history.append(rmax(x))
+        if history[-1] <= problem.tol:
+            return "feasible", t, history
+        if history[-1] < best * (1.0 - 1e-3):
+            best, last = history[-1], t
+        if t - last >= problem.stall_window and best > 10.0 * problem.tol:
+            return "infeasible_stalled", t, history
+    return "inconclusive", problem.budget, history
+
+
+def _commuting_pair_d3():
+    u = random_unitary(3, np.random.default_rng(150))
+    return [u @ np.diag(ev) @ u.conj().T for ev in ((0.9, 0.5, 0.1), (0.2, 0.7, 0.4))]
+
+
+def _random_pair_d2():
+    rng = np.random.default_rng(3)
+    return [random_density(2, rng) for _ in range(2)]
+
+
+# In the Heisenberg picture a commuting pair at d = 3 is feasible after one
+# cycle; the Schrodinger picture takes hundreds, which exercises the loop.  On
+# both of those instances plain alternating projections give the same
+# iterates; on the random pair the cone corrections change them.
+@pytest.mark.parametrize("effects, picture, status", [
+    ([KET0, KET1, PLUS, MINUS], "heisenberg", "infeasible_stalled"),
+    (_commuting_pair_d3(), "schrodinger", "feasible"),
+    (_random_pair_d2(), "schrodinger", "infeasible_stalled"),
+], ids=["zx", "commuting-d3", "random-d2"])
+def test_search_matches_loop_with_affine_correction(effects, picture, status):
+    problem = FeasibilityProblem(effects, picture=picture)
+    verdict = check_measurements_feasibility(problem)
+    ref_status, ref_cycles, ref_history = _reference_search(problem)
+    assert verdict.status == ref_status == status
+    assert verdict.cycles == ref_cycles
+    assert len(verdict.residual_history) == len(ref_history)
+    assert np.max(np.abs(np.array(verdict.residual_history) - ref_history)) <= 1e-10
+
+
+def test_search_logs_progress_every_100_cycles(caplog):
+    problem = FeasibilityProblem([KET0, KET1, PLUS, MINUS])
+    quiet = check_measurements_feasibility(problem)
+    with caplog.at_level(logging.DEBUG, logger="broadcastlab.contextuality"):
+        verdict = check_measurements_feasibility(problem)
+    assert verdict.residual_history == quiet.residual_history
+    assert verdict.cycles == quiet.cycles
+    records = [r for r in caplog.records if r.name == "broadcastlab.contextuality"]
+    cycles = [r.args[0] for r in records]
+    assert cycles == list(range(100, verdict.cycles + 1, 100))
+    for r in records:
+        t, psd, ppt, affine, best, since = r.args
+        assert r.levelno == logging.DEBUG
+        assert max(psd, ppt, affine) == verdict.residual_history[t]
+        assert best <= verdict.residual_history[0]
+        assert 0 <= since <= t
+        assert f"cycle {t}:" in r.getMessage()

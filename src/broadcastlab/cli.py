@@ -8,6 +8,7 @@ numerical failure."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -54,7 +55,9 @@ EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; `parse_args` returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="broadcastlab",
         description="Entanglement-breaking fixed points, broadcasting algebras, "

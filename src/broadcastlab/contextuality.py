@@ -237,7 +237,9 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
 
     kept = []
     for v in sorted(atom_labels):
-        eff = sum(proj_by_label[lab] for lab in atom_labels[v])
+        # sum in `labels` order: set order follows string hashing, which
+        # changes from process to process
+        eff = sum(proj_by_label[lab] for lab in labels if lab in atom_labels[v])
         if op_norm(eff) > tol:
             kept.append((v, frozenset(atom_labels[v]), eff))
 
@@ -254,7 +256,8 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
 
     worst = 0.0
     for kk in subset_sets:
-        a_k = sum((proj_by_label[lab] for lab in kk), np.zeros((d, d), dtype=complex))
+        a_k = sum((proj_by_label[lab] for lab in labels if lab in kk),
+                  np.zeros((d, d), dtype=complex))
         worst = max(worst, op_norm(channel.apply_heisenberg(a_k) - a_k))
     if worst > 1e-12:
         raise RuntimeError(f"partition embedding fixed-point residual {worst:.3e} > 1e-12")

@@ -258,7 +258,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
         return float(dev), float(dev / max(frob_norm(block), 1e-300))
 
     marks = {2 ** k for k in range(14) if 2 ** k < n_terms} | {n_terms}
-    means = _cesaro_means(lambda x: channel.action @ x, channel._to_sectors(a), marks)
+    means = _cesaro_means(channel.action, channel._to_sectors(a), marks)
     dist = {t: window_distance(channel._from_sectors(mean)) for t, mean in means.items()}
     return {
         "levels": n,
@@ -310,8 +310,10 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
     ground = np.zeros((n, n), dtype=complex)
     ground[0, 0] = 1.0
 
-    means = [_cesaro_means(channel.apply, rho, set(n_steps)) for rho in (ground, random_state)]
-    masses = {steps: [float(np.real(np.trace(m[steps][:window, :window]))) for m in means]
+    means = [_cesaro_means(channel.action, channel._to_sectors(rho), set(n_steps))
+             for rho in (ground, random_state)]
+    masses = {steps: [float(np.real(np.trace(channel._from_sectors(m[steps])[:window, :window])))
+                      for m in means]
               for steps in n_steps}
 
     svals = np.concatenate([np.linalg.svd(b - np.eye(len(b)), compute_uv=False)

@@ -175,19 +175,28 @@ def cesaro_apply(channel, a, n_terms: int = 1000, early_stop_tol: float = 1e-12,
     return CesaroResult(avg, n_terms, float(residual), residual <= early_stop_tol)
 
 
-def _cesaro_means(step, x, marks) -> dict:
-    """Cesaro means {t: (1/t) sum_{k<t} step^k(x)} at every t in `marks`, in one pass."""
+def _cesaro_means(mat, x, marks) -> dict:
+    """Cesaro means {t: S_t x / t}, S_t = sum_{k<t} mat^k, at every t in `marks`.
+
+    Built by doubling, with one power, one partial sum and one accumulator per
+    mark: P = mat^(2^j) and s = S_(2^j) x step to s + P s and P P, and a length
+    t with bit j set folds in as acc_t <- s + P acc_t (S_(2^j + r) = S_(2^j) +
+    mat^(2^j) S_r).  Each mean costs O(log t) products; `mat` may be a stack of
+    matrices acting on a stack of operands.
+    """
     if min(marks) < 1:
         raise ValueError("Cesaro lengths must be >= 1")
-    total = x.copy()
-    means = {}
-    for t in range(1, max(marks) + 1):
-        if t > 1:
-            x = step(x)
-            total += x
-        if t in marks:
-            means[t] = total / t
-    return means
+    acc = dict.fromkeys(marks)
+    power, s = mat, x
+    bits = max(marks).bit_length()
+    for j in range(bits):
+        for t in marks:
+            if (t >> j) & 1:
+                acc[t] = s if acc[t] is None else s + power @ acc[t]
+        if j + 1 < bits:
+            s = s + power @ s
+            power = power @ power
+    return {t: a / t for t, a in acc.items()}
 
 
 def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
@@ -197,12 +206,13 @@ def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
     "spectral" builds the eigenvalue-1 eigenprojector of the vectorized
     Heisenberg action (the Cesaro limit; the peripheral spectrum is
     semisimple for channel duals). "cesaro" returns the truncated average,
-    which converges like 1/n and serves as an independent witness.
+    built by doubling in O(log n) products, which converges like 1/n and
+    serves as an independent witness.
     """
     lmat = channel_matrix(channel, picture="heisenberg")
     n = lmat.shape[0]
     if method == "cesaro":
-        return _cesaro_means(lambda t: lmat @ t, np.eye(n, dtype=complex), {n_terms})[n_terms]
+        return _cesaro_means(lmat, np.eye(n, dtype=complex), {n_terms})[n_terms]
     if method != "spectral":
         raise ValueError(f"unknown psi_0 method {method!r}")
     right, _ = _nullspace(lmat - np.eye(n), tol)

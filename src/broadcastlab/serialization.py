@@ -55,7 +55,7 @@ def operator_to_json(matrix) -> dict:
     return {
         "dim_row": int(m.shape[0]),
         "dim_col": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
     }
 
 

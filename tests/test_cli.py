@@ -259,3 +259,55 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
     assert main(["check-meas", "--input", path]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_pvm_embed_report_independent_of_hash_seed(tmp_path):
+    """String labels live in sets, whose order follows the per-process string
+    hash; the report must not depend on it (three-label atoms and a five-label
+    subset make the summation order visible in the last bits)."""
+    import os
+    import subprocess
+    import sys
+
+    import broadcastlab
+
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    q, _ = np.linalg.qr(g)
+    path = _write(tmp_path, "embed.json", {
+        "labels": list("abcdefgh"),
+        "projections": [operator_to_json(np.outer(q[:, i], q[:, i].conj()))
+                        for i in range(8)],
+        "subsets": [list("abcde"), list("defg")]})
+    src = os.path.dirname(os.path.dirname(broadcastlab.__file__))
+    reports = set()
+    for hash_seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "broadcastlab.cli", "pvm-embed",
+                               "--input", path], env=env, capture_output=True, check=True)
+        reports.add(proc.stdout)
+    assert len(reports) == 1
+
+
+def test_parser_reuse_keeps_default_configuration(tmp_path):
+    pinch = {
+        "kind": "measure_prepare", "d_in": 2, "d_out": 2,
+        "povm": _PINCH_2,
+        "states": [operator_to_json(np.diag([1.0, 0.0])),
+                   operator_to_json(np.diag([0.0, 1.0]))],
+    }
+    fix_path = _write(tmp_path, "fix.json", {"channel": pinch})
+    meas_path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
+    out = tmp_path / "report.json"
+
+    def fixpoints_config():
+        assert main(["fixpoints", "--input", fix_path, "--output", str(out)]) == 0
+        return json.loads(out.read_text())["config"]
+
+    fresh = fixpoints_config()
+    assert main(["check-meas", "--input", meas_path, "--budget", "5", "--tol", "1e-3",
+                 "--seed", "4", "--output", str(tmp_path / "meas.json")]) == 0
+    again = fixpoints_config()
+    assert again == fresh
+    assert (again["budget"], again["seed"], again["tol"]) == (20000, 0, 1e-9)

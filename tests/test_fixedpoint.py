@@ -7,6 +7,7 @@ from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, channel_m
 from broadcastlab.config import DimensionCapError
 from broadcastlab.fixedpoint import (
     BroadcastingAlgebra,
+    _cesaro_means,
     atomic_decomposition,
     broadcasting_product,
     cesaro_apply,
@@ -332,3 +333,60 @@ def test_fixedpoint_report_shape():
     assert "product_table_residuals" in report
     assert report["atom_provenance"]["generic_element_seed"] == 5
     assert "singular_part" in report
+
+
+def _sequential_means(mat, x, marks):
+    term = x.copy()
+    total = x.copy()
+    means = {}
+    for t in range(1, max(marks) + 1):
+        if t > 1:
+            term = mat @ term
+            total = total + term
+        if t in marks:
+            means[t] = total / t
+    return means
+
+
+_MARKS = {1, 2, 3, 37, 64, 100, 1000}
+
+
+def test_cesaro_means_non_normal_contraction():
+    rng = np.random.default_rng(51)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    mat = 0.95 * g / np.linalg.norm(g, 2)
+    x = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    means = _cesaro_means(mat, x, _MARKS)
+    expected = _sequential_means(mat, x, _MARKS)
+    assert means.keys() == expected.keys()
+    for t in _MARKS:
+        np.testing.assert_allclose(means[t], expected[t], rtol=0, atol=1e-13)
+
+
+def test_cesaro_means_nilpotent_shift_exact():
+    # integer-valued partial sums are exact in either summation order
+    mat = np.eye(12, k=-1)
+    x = np.random.default_rng(52).integers(-50, 50, size=(12, 3)).astype(float)
+    means = _cesaro_means(mat, x, _MARKS)
+    expected = _sequential_means(mat, x, _MARKS)
+    for t in _MARKS:
+        np.testing.assert_array_equal(means[t], expected[t])
+
+
+def test_cesaro_means_batched_stack():
+    rng = np.random.default_rng(53)
+    g = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    mat = 0.9 * g / np.linalg.norm(g, 2, axis=(1, 2))[:, None, None]
+    x = rng.standard_normal((5, 4, 1)) + 1j * rng.standard_normal((5, 4, 1))
+    means = _cesaro_means(mat, x, _MARKS)
+    for k in range(5):
+        expected = _sequential_means(mat[k], x[k], _MARKS)
+        for t in _MARKS:
+            assert means[t].shape == (5, 4, 1)
+            np.testing.assert_allclose(means[t][k], expected[t], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("marks", [{0, 5}, {-3}])
+def test_cesaro_means_rejects_length_below_one(marks):
+    with pytest.raises(ValueError):
+        _cesaro_means(np.eye(2), np.ones((2, 1)), marks)

@@ -99,3 +99,13 @@ def test_io_roundtrip_rejects_malformed(tmp_path):
     path.write_text(json.dumps({"weird": 1}))
     with pytest.raises(SchemaError):
         io_roundtrip(str(path))
+
+
+def test_operator_to_json_matches_elementwise_floats():
+    m = np.array([[-0.0, 5e-324 - 1e308j, 3], [1e308 + 0.5j, -7, -0.0 - 0.0j]], dtype=complex)
+    expected = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    entries = operator_to_json(m)["entries"]
+    assert json.dumps(entries) == json.dumps(expected)
+    assert all(type(v) is float for pair in entries for v in pair)
+    ints = operator_to_json(np.arange(6).reshape(2, 3))["entries"]
+    assert json.dumps(ints) == json.dumps([[float(k), 0.0] for k in range(6)])

@@ -120,9 +120,6 @@ class ChoiChannel:
         lifted = np.kron(np.eye(self.d_in), a)
         return partial_trace(self.matrix @ lifted, (self.d_in, self.d_out), side=2).T
 
-    def to_kraus(self, tol: float = 1e-12) -> KrausChannel:
-        return choi_to_kraus(self, tol=tol)
-
 
 class MeasurePrepareChannel:
     """Entanglement-breaking channel Lambda(T) = sum_i tr(G_i T) sigma_i.

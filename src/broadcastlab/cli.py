@@ -203,8 +203,12 @@ def _run_approx_check(args) -> dict:
     epsilon = doc["epsilon"]
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
         raise SchemaError(f"$.epsilon: expected a number, got {type(epsilon).__name__}")
+    try:
+        epsilon = float(epsilon)
+    except OverflowError:
+        raise SchemaError("$.epsilon: number too large for a float") from None
     channel = channel_from_json(doc["channel"], "$.channel")
-    result: ApproxCheckResult = approx_check(effects, channel, float(epsilon))
+    result: ApproxCheckResult = approx_check(effects, channel, epsilon)
     return {
         "verdict": "pass" if result.passed else "fail",
         "witness": None,

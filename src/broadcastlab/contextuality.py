@@ -25,7 +25,6 @@ from .operators import (
     commutator_defect,
     dagger,
     frob_norm,
-    hermitian_basis,
     op_norm,
     partial_trace,
     partial_transpose,
@@ -195,6 +194,8 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
     projs = [as_effect(p) for p in projections]
     if len(labels) != len(projs):
         raise OperatorError("one projection per outcome label is required")
+    if not projs:
+        raise OperatorError("need at least one outcome")
     if len(set(labels)) != len(labels):
         raise OperatorError("outcome labels must be distinct")
     n = len(subsets)
@@ -345,7 +346,6 @@ class FeasibilityProblem:
             raise ValueError(f"budget must be a positive cycle count, got {budget}")
         self.tol = float(tol)
         self.stall_window = int(stall_window)
-        self.cones = ("psd", "ppt")
 
         # Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
         # Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of
@@ -370,10 +370,6 @@ class FeasibilityProblem:
         self.affine_matrix = np.concatenate(blocks)
         self.affine_rhs = _herm_coords(np.stack((eye,) + self.effects), d).ravel()
         self._affine_pinv = np.linalg.pinv(self.affine_matrix, rcond=1e-12)
-
-    @functools.cached_property
-    def _choi_basis(self) -> list[np.ndarray]:
-        return hermitian_basis(self.dim ** 2)
 
     # projections, all orthogonal in the Frobenius metric
     def _affine_step(self, x: np.ndarray) -> np.ndarray:
@@ -736,10 +732,7 @@ class ExtendedFunctional:
         im = 0.5 * self.stage_hermitian(-1j * (a - dagger(a)))
         return re + 1j * im
 
-    def table(self, operators) -> np.ndarray:
-        return np.stack([self.evaluate(a) for a in operators])
-
 
 def extend_effect_functional(effects, values, dim: int, tol: float = 1e-9) -> ExtendedFunctional:
-    """Extend tabulated quasi-linear effect values to a linear functional table."""
+    """Extend tabulated quasi-linear effect values to a linear functional."""
     return ExtendedFunctional(effects, values, dim, tol=tol)

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (MeasurePrepareChannel, apply, channel_matrix, choi_from_superoperator,
-                       symmetric_lift)
+from .channels import MeasurePrepareChannel, apply, channel_matrix, choi_from_superoperator
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     DiscretePOVM,
@@ -56,11 +55,6 @@ class FixedPointSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def project_coefficients(self, a) -> np.ndarray:
-        """Real expansion coefficients of a Hermitian operator over the basis."""
-        a = as_complex_matrix(a)
-        return np.array([np.real(hs_inner(b, a)) for b in self.basis])
-
     def contains(self, a, tol: float | None = None) -> bool:
         a = as_complex_matrix(a)
         coeffs = [hs_inner(b, a) for b in self.basis]
@@ -69,27 +63,50 @@ class FixedPointSpace:
         return resid <= (tol if tol is not None else 1e-8) * max(1.0, frob_norm(a))
 
 
-def _nullspace(m: np.ndarray, rel_tol: float):
-    """Orthonormal nullspace columns and the ascending singular-value ladder."""
-    _, s, vh = np.linalg.svd(m)
+def _heisenberg_matrix(channel, cap: int | None = None) -> np.ndarray:
+    """The d^2 x d^2 Heisenberg matrix L of a square channel, built after the cap check."""
+    if channel.d_in != channel.d_out:
+        raise OperatorError("fixed points need a square channel (d_in == d_out)")
+    cap = cap if cap is not None else dimension_cap()
+    if channel.d_out > cap:
+        raise DimensionCapError(f"dimension {channel.d_out} exceeds cap {cap}")
+    return channel_matrix(channel, picture="heisenberg")
+
+
+def _null_vectors(lmat: np.ndarray, rel_tol: float):
+    """Right and left null vectors of L - I and the ascending singular-value ladder.
+
+    One SVD L - I = U S V^dagger gives both: the columns of V (right) and of U
+    (left) whose singular values fall below `rel_tol` times the largest, so the
+    two counts always agree.
+    """
+    n = lmat.shape[0]
+    u, s, vh = np.linalg.svd(lmat - np.eye(n))
+    s_asc = np.sort(s)
     smax = s.max(initial=0.0)
     if smax == 0.0:
-        return np.eye(m.shape[1], dtype=complex), np.sort(s)
+        return np.eye(n, dtype=complex), np.eye(n, dtype=complex), s_asc
     thr = rel_tol * smax
     keep = s <= thr
-    # svd pads s only for square m here; guard against wide/tall anyway
-    if len(s) < m.shape[1]:
-        keep = np.concatenate([keep, np.ones(m.shape[1] - len(s), dtype=bool)])
-        s = np.concatenate([s, np.zeros(m.shape[1] - len(s))])
-    cols = vh.conj().T[:, keep]
-    s_asc = np.sort(s)
-    k = cols.shape[1]
-    if 0 < k < m.shape[1] and s_asc[k] < 10.0 * thr:
+    k = int(keep.sum())
+    if 0 < k < n and s_asc[k] < 10.0 * thr:
         raise FixedPointError(
             "singular-value threshold separates no spectral gap; ladder: "
             + np.array2string(s_asc, precision=3)
         )
-    return cols, s_asc
+    return vh.conj().T[:, keep], u[:, keep], s_asc
+
+
+def _spectral_projector(right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Oblique projector R (L^dagger R)^-1 L^dagger onto the right null vectors
+    along the orthogonal complement of the left ones."""
+    n = right.shape[0]
+    if right.shape[1] == 0:
+        return np.zeros((n, n), dtype=complex)
+    proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
+    if frob_norm(proj @ proj - proj) > 1e-8 * max(1.0, frob_norm(proj)):
+        raise FixedPointError("spectral fixed-point projector is not idempotent")
+    return proj
 
 
 def _hermitian_fixed_basis(cols: np.ndarray, d: int) -> list[np.ndarray]:
@@ -125,15 +142,13 @@ def fixed_space(channel, tol: float = 1e-9, cap: int | None = None) -> FixedPoin
     singular-value threshold `tol`, orthonormal in the Hilbert-Schmidt inner
     product and closed under the adjoint.
     """
-    cap = cap if cap is not None else dimension_cap()
-    d = channel.d_out  # Heisenberg operand side
-    if channel.d_in != channel.d_out:
-        raise OperatorError("fixed points need a square channel (d_in == d_out)")
-    if d > cap:
-        raise DimensionCapError(f"dimension {d} exceeds cap {cap}")
-    lmat = channel_matrix(channel, picture="heisenberg")
-    cols, ladder = _nullspace(lmat - np.eye(d * d), tol)
-    basis = _hermitian_fixed_basis(cols, d) if cols.shape[1] else []
+    right, _, ladder = _null_vectors(_heisenberg_matrix(channel, cap), tol)
+    return _space_from(channel, right, ladder, tol)
+
+
+def _space_from(channel, right: np.ndarray, ladder: np.ndarray, tol: float) -> FixedPointSpace:
+    """The fixed-point space spanned by the right null vectors of L - I."""
+    basis = _hermitian_fixed_basis(right, channel.d_out) if right.shape[1] else []
     for b in basis:
         resid = frob_norm(apply(channel, b, "heisenberg") - b)
         if resid > 100 * max(tol, 1e-12) * max(1.0, float(ladder[-1]) if len(ladder) else 1.0):
@@ -204,83 +219,62 @@ def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
     """Matrix of the fixed-point projector psi_0 on vectorized operators.
 
     "spectral" builds the eigenvalue-1 eigenprojector of the vectorized
-    Heisenberg action (the Cesaro limit; the peripheral spectrum is
-    semisimple for channel duals). "cesaro" returns the truncated average,
-    built by doubling in O(log n) products, which converges like 1/n and
-    serves as an independent witness.
+    Heisenberg action L (the Cesaro limit; the peripheral spectrum is
+    semisimple for channel duals) from one SVD of L - I. "cesaro" returns
+    the truncated average, built by doubling in O(log n) products, which
+    converges like 1/n and serves as an independent witness.
     """
-    lmat = channel_matrix(channel, picture="heisenberg")
-    n = lmat.shape[0]
+    lmat = _heisenberg_matrix(channel)
     if method == "cesaro":
-        return _cesaro_means(lmat, np.eye(n, dtype=complex), {n_terms})[n_terms]
+        return _cesaro_means(lmat, np.eye(len(lmat), dtype=complex), {n_terms})[n_terms]
     if method != "spectral":
         raise ValueError(f"unknown psi_0 method {method!r}")
-    right, _ = _nullspace(lmat - np.eye(n), tol)
-    left, _ = _nullspace((lmat - np.eye(n)).conj().T, tol)
-    if right.shape[1] != left.shape[1]:
-        raise FixedPointError(
-            f"left/right fixed spaces disagree: {left.shape[1]} vs {right.shape[1]}"
-        )
-    if right.shape[1] == 0:
-        return np.zeros((n, n), dtype=complex)
-    gram = left.conj().T @ right
-    proj = right @ np.linalg.solve(gram, left.conj().T)
-    if frob_norm(proj @ proj - proj) > 1e-8 * max(1.0, frob_norm(proj)):
-        raise FixedPointError("spectral fixed-point projector is not idempotent")
-    return proj
+    right, left, _ = _null_vectors(lmat, tol)
+    return _spectral_projector(right, left)
 
 
 class BroadcastingAlgebra:
     """Fixed points of an entanglement-breaking channel with the broadcasting
     product A * B = psi_0(Phi*(A (x) B)).
 
-    Built from the measure-prepare channel, its symmetric lift, the spectral
-    psi_0 (cross-checked against a truncated Cesaro average), and the product
-    table over the Hermitian fixed basis.
+    One Heisenberg matrix L and one SVD of L - I give the fixed basis and the
+    spectral psi_0 (cross-checked against a truncated Cesaro average of L);
+    the product table over the Hermitian fixed basis is one contraction of
+    the channel's POVM and states.
     """
 
     def __init__(self, channel: MeasurePrepareChannel, tol: float = 1e-9,
                  validate_tol: float = 1e-8, cesaro_terms: int = 4096):
         if not isinstance(channel, MeasurePrepareChannel):
             raise OperatorError("broadcasting algebra needs a measure-prepare channel")
-        if channel.d_in != channel.d_out:
-            raise OperatorError("broadcasting algebra needs a square channel")
         self.channel = channel
-        self.d = channel.d_in
+        self.d = d = channel.d_in
         self.tol = tol
-        self.space = fixed_space(channel, tol=tol)
-        self.lift = symmetric_lift(channel)
-        self.projector = psi0_matrix(channel, method="spectral", tol=tol)
+        lmat = _heisenberg_matrix(channel)
+        right, left, ladder = _null_vectors(lmat, tol)
+        self.space = _space_from(channel, right, ladder, tol)
+        self.projector = p = _spectral_projector(right, left)
+        self.intertwining_residual = float(frob_norm(p @ lmat - p))
+        self.idempotency_residual = float(frob_norm(p @ p - p))
+        cesaro = _cesaro_means(lmat, np.eye(d * d, dtype=complex), {cesaro_terms})[cesaro_terms]
+        self.cesaro_cross_residual = float(frob_norm(cesaro - p))
 
-        lmat = channel_matrix(channel, picture="heisenberg")
-        self.intertwining_residual = float(
-            frob_norm(self.projector @ lmat - self.projector)
-        )
-        self.idempotency_residual = float(
-            frob_norm(self.projector @ self.projector - self.projector)
-        )
-        cesaro = psi0_matrix(channel, method="cesaro", n_terms=cesaro_terms)
-        self.cesaro_cross_residual = float(frob_norm(cesaro - self.projector))
-
+        # table[i, j, k] = <B_k, psi_0(Phi*(B_i (x) B_j))>, where
+        # Phi*(a (x) b) = sum_x tr(s_x a) tr(s_x b) G_x
         m = self.space.dim
-        basis = self.space.basis
-        table = np.zeros((m, m, m))
-        imag_drift = 0.0
-        for i in range(m):
-            for j in range(i, m):
-                prod = self._raw_product(basis[i], basis[j])
-                for k in range(m):
-                    c = hs_inner(basis[k], prod)
-                    imag_drift = max(imag_drift, abs(c.imag))
-                    table[i, j, k] = c.real
-                    table[j, i, k] = c.real
-        self.product_table = table
-        self.table_imag_drift = imag_drift
-        self.unit_coefficients = self.space.project_coefficients(np.eye(self.d))
-
-        self.commutativity_residual = self._commutativity_residual()
-        self.associativity_residual = self._associativity_residual()
-        self.psi0_cp_residual = self._psi0_cp_residual()
+        basis = np.reshape(self.space.basis, (m, d * d))
+        traces = np.einsum("xab,iba->xi", np.array(channel.states), basis.reshape(m, d, d))
+        phi = np.einsum("xi,xj,xab->ijab", traces, traces, np.array(channel.povm.effects))
+        table = (phi.reshape(m * m, d * d) @ (basis.conj() @ p).T).reshape(m, m, m)
+        self.product_table = t = table.real
+        self.table_imag_drift = float(np.abs(table.imag).max(initial=0.0))
+        self.commutativity_residual = float(np.abs(t - t.transpose(1, 0, 2)).max(initial=0.0))
+        # (B_i * B_j) * B_k vs B_i * (B_j * B_k), contracted through the table
+        assoc = np.einsum("ijm,mkl->ijkl", t, t) - np.einsum("jkm,iml->ijkl", t, t)
+        self.associativity_residual = float(np.abs(assoc).max(initial=0.0))
+        choi = choi_from_superoperator(p, d, d)
+        w = np.linalg.eigvalsh(0.5 * (choi + dagger(choi)))
+        self.psi0_cp_residual = max(0.0, -float(w[0]))
         worst = max(self.idempotency_residual, self.commutativity_residual,
                     self.associativity_residual, self.psi0_cp_residual)
         if worst > validate_tol:
@@ -298,24 +292,6 @@ class BroadcastingAlgebra:
     def project(self, a) -> np.ndarray:
         """Apply psi_0."""
         return unvec(self.projector @ vec(as_complex_matrix(a)), self.d)
-
-    def _commutativity_residual(self) -> float:
-        t = self.product_table
-        return float(np.max(np.abs(t - t.transpose(1, 0, 2))) if t.size else 0.0)
-
-    def _associativity_residual(self) -> float:
-        t = self.product_table
-        if not t.size:
-            return 0.0
-        # (B_i * B_j) * B_k vs B_i * (B_j * B_k), contracted through the table
-        left = np.einsum("ijm,mkl->ijkl", t, t)
-        right = np.einsum("jkm,iml->ijkl", t, t)
-        return float(np.max(np.abs(left - right)))
-
-    def _psi0_cp_residual(self) -> float:
-        choi = choi_from_superoperator(self.projector, self.d, self.d)
-        w = np.linalg.eigvalsh(0.5 * (choi + dagger(choi)))
-        return float(max(0.0, -w.min()))
 
     def coefficients_product(self, a_coeffs, b_coeffs) -> np.ndarray:
         """Broadcasting product in basis coefficients."""

@@ -62,7 +62,7 @@ def operator_to_json(matrix) -> dict:
 def operator_from_json(obj, path="$") -> np.ndarray:
     _expect_keys(obj, ("dim_row", "dim_col", "entries"), path=path)
     rows, cols = obj["dim_row"], obj["dim_col"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
+    if not all(type(v) is int and v >= 1 for v in (rows, cols)):  # JSON true/false are not sizes
         raise SchemaError(f"{path}.dim_row/dim_col: need positive integers")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -76,7 +76,10 @@ def operator_from_json(obj, path="$") -> np.ndarray:
         re, im = pair
         if not all(isinstance(v, (int, float)) for v in (re, im)):
             raise SchemaError(f"{path}.entries[{i}]: entries must be numbers")
-        flat[i] = complex(re, im)
+        try:
+            flat[i] = complex(re, im)
+        except OverflowError:
+            raise SchemaError(f"{path}.entries[{i}]: number too large for a float") from None
     try:
         return as_complex_matrix(flat.reshape(rows, cols))
     except OperatorError as exc:
@@ -111,7 +114,7 @@ def channel_from_json(obj, path="$"):
         ch = KrausChannel(ops)
     elif kind == "choi":
         _expect_keys(obj, ("kind", "d_in", "d_out", "matrix"), path=path)
-        if not all(isinstance(obj[k], int) and obj[k] >= 1 for k in ("d_in", "d_out")):
+        if not all(type(obj[k]) is int and obj[k] >= 1 for k in ("d_in", "d_out")):
             raise SchemaError(f"{path}.d_in/d_out: need positive integers")
         ch = ChoiChannel(operator_from_json(obj["matrix"], f"{path}.matrix"),
                          obj["d_in"], obj["d_out"])

@@ -113,6 +113,8 @@ def test_check_meas_nonpositive_budget_exits_2(tmp_path, budget):
     {"labels": 5, "projections": [], "subsets": []},
     {"labels": ["x"], "projections": 5, "subsets": [["x"]]},
     {"labels": ["x"], "projections": [operator_to_json(np.eye(1))], "subsets": [1]},
+    {"labels": [], "projections": [], "subsets": [["a"]]},
+    {"labels": [], "projections": [], "subsets": [[]]},
 ])
 def test_pvm_embed_malformed_document_exits_2(tmp_path, doc):
     assert main(["pvm-embed", "--input", _write(tmp_path, "embed.json", doc)]) == 2
@@ -132,6 +134,14 @@ _PINCH_2 = [operator_to_json(np.diag([1.0, 0.0])), operator_to_json(np.diag([0.0
     ("fixpoints", {"channel": {"kind": "choi", "d_in": "2", "d_out": 2,
                                "matrix": operator_to_json(np.eye(4) / 2)}}),
     ("approx-check", {"effects": _PINCH_2, "epsilon": [1],
+                      "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                                  "povm": _PINCH_2, "states": _PINCH_2}}),
+    # JSON true as a size, and integers too large for a float
+    ("check-states", {"states": [{"dim_row": True, "dim_col": True, "entries": [[1, 0]]}]}),
+    ("fixpoints", {"channel": {"kind": "choi", "d_in": True, "d_out": True,
+                               "matrix": operator_to_json(np.eye(1))}}),
+    ("check-states", {"states": [{"dim_row": 1, "dim_col": 1, "entries": [[10 ** 400, 0]]}]}),
+    ("approx-check", {"effects": _PINCH_2, "epsilon": 10 ** 400,
                       "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
                                   "povm": _PINCH_2, "states": _PINCH_2}}),
 ])

@@ -185,8 +185,8 @@ def test_feasibility_qubit_pvm_feasible_and_cross_checked():
     # cross-check: the pvm_embed witness satisfies the same constraints
     emb = pvm_embed([0, 1], [KET0, KET1], [{0}, {1}])
     j = choi_transform(emb.channel).matrix
-    from broadcastlab.operators import hs_inner
-    coords = np.array([np.real(hs_inner(h, j)) for h in problem._choi_basis])
+    from broadcastlab.contextuality import _herm_coords
+    coords = _herm_coords(j, 4)
     assert np.linalg.norm(problem.affine_matrix @ coords - problem.affine_rhs) <= 1e-10
     assert np.linalg.norm(coords - problem.project_psd(coords)) <= 1e-10
     assert np.linalg.norm(coords - problem.project_ppt(coords)) <= 1e-10

@@ -155,6 +155,30 @@ def test_psi0_cesaro_matches_sequential_average():
                                rtol=0, atol=1e-13)
 
 
+def _two_svd_projector(ch, tol=1e-9):
+    """psi_0 as R (L^dagger R)^-1 L^dagger, with the right null vectors from an SVD
+    of L - I and the left ones from a separate SVD of its adjoint."""
+    m = channel_matrix(ch, "heisenberg") - np.eye(ch.d_in ** 2)
+
+    def null(a):
+        _, s, vh = np.linalg.svd(a)
+        return vh.conj().T[:, s <= tol * s.max()]
+
+    right, left = null(m), null(m.conj().T)
+    return right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
+
+
+@pytest.mark.parametrize("kind", ["generic", "norm1"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_psi0_one_svd_matches_two_svd_projector(d, kind):
+    rng = np.random.default_rng(60 + d)
+    ch = random_eb_channel(d, rng, kind=kind)
+    lmat = channel_matrix(ch, "heisenberg")
+    assert frob_norm(lmat @ dagger(lmat) - dagger(lmat) @ lmat) > 1e-3  # not normal
+    np.testing.assert_allclose(psi0_matrix(ch, method="spectral"), _two_svd_projector(ch),
+                               rtol=0, atol=1e-12)
+
+
 def test_product_unit_law():
     rng = np.random.default_rng(33)
     alg = BroadcastingAlgebra(random_eb_channel(4, rng, kind="norm1"))
@@ -296,6 +320,20 @@ def test_cstar_identity_from_product_table():
         aa = alg.coefficients_product(np.conj(c), c)
         sr_aa = np.max(np.abs(np.linalg.eigvals(alg.multiplication_matrix(aa))))
         assert abs(sr_aa - sr_a ** 2) <= 1e-7 * max(1.0, sr_a ** 2)
+
+
+@pytest.mark.parametrize("kind", ["pinching", "norm1"])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_product_table_matches_pairwise_products(d, kind):
+    """The contracted table against a loop of <B_k, B_i * B_j> over basis pairs."""
+    rng = np.random.default_rng(70 + d)
+    alg = BroadcastingAlgebra(random_eb_channel(d, rng, kind=kind))
+    basis = alg.space.basis
+    ref = np.array([[[np.vdot(bk, alg._raw_product(bi, bj)) for bk in basis]
+                     for bj in basis] for bi in basis])
+    assert len(basis) >= 2
+    np.testing.assert_allclose(alg.product_table, ref.real, rtol=0, atol=1e-13)
+    assert alg.table_imag_drift == pytest.approx(np.abs(ref.imag).max(), rel=0, abs=1e-15)
 
 
 def test_reconstruction_on_every_basis_element():

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from families import random_density
 
@@ -109,3 +111,36 @@ def test_operator_to_json_matches_elementwise_floats():
     assert all(type(v) is float for pair in entries for v in pair)
     ints = operator_to_json(np.arange(6).reshape(2, 3))["entries"]
     assert json.dumps(ints) == json.dumps([[float(k), 0.0] for k in range(6)])
+
+
+# Any value json.load can return: NaN and the infinities included, since the
+# reader accepts those literals, and integers beyond the float range.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                   max_size=4),
+    max_leaves=12,
+)
+_DIM = st.integers(0, 3) | _JSON
+# documents shaped like an operator, so that most draws reach the entries
+_OPERATOR_LIKE = st.fixed_dictionaries(
+    {"dim_row": _DIM, "dim_col": _DIM,
+     "entries": st.lists(st.lists(st.integers() | st.floats() | _JSON, min_size=2, max_size=2)
+                         | _JSON, max_size=9) | _JSON},
+    optional={"extra": _JSON},
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON | _OPERATOR_LIKE)
+@example({"dim_row": 1, "dim_col": 1, "entries": [[10 ** 400, 0]]})
+@example({"dim_row": 1, "dim_col": 2, "entries": [[0.5, 0], [0, -(10 ** 400)]]})
+@example({"dim_row": 1, "dim_col": 1, "entries": [[float("nan"), 0]]})
+@example({"dim_row": True, "dim_col": True, "entries": [[1, 0]]})
+def test_operator_from_json_returns_finite_matrix_or_schema_error(doc):
+    try:
+        m = operator_from_json(doc)
+    except SchemaError:
+        return
+    assert m.shape == (doc["dim_row"], doc["dim_col"])
+    assert np.all(np.isfinite(m))

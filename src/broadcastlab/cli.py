@@ -322,7 +322,11 @@ def main(argv=None) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    payload = dumps_report(report)
+    try:
+        payload = dumps_report(report)
+    except ValueError as exc:  # NaN or infinity in a result
+        print(f"error: numerical failure: report cannot be encoded: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload)

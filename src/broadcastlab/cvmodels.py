@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, roots_laguerre, roots_legendre
 
 from .fixedpoint import _cesaro_means
 from .operators import (
@@ -165,20 +165,25 @@ def qchannel_element(m: int, n: int, j: int, k: int) -> float:
     if m + k != n + j:
         return 0.0
     s = m + k
-    logval = (gammaln(s + 1) - (s + 1) * np.log(2.0)
-              - 0.5 * (gammaln(m + 1) + gammaln(n + 1) + gammaln(j + 1) + gammaln(k + 1)))
+    lg = _log_factorials(s + 1)
+    logval = (lg[s] - (s + 1) * np.log(2.0)
+              - 0.5 * (lg[m] + lg[n] + lg[j] + lg[k]))
     return float(np.exp(logval))
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """log k! for k = 0..size-1."""
+    return np.array([math.lgamma(k + 1) for k in range(size)])
 
 
 @lru_cache(maxsize=16)
 def _laguerre_nodes(order: int):
-    u, w = roots_laguerre(order)
-    return u, w
+    return np.polynomial.laguerre.laggauss(order)
 
 
 @lru_cache(maxsize=16)
 def _legendre_nodes(order: int):
-    return roots_legendre(order)
+    return np.polynomial.legendre.leggauss(order)
 
 
 def qchannel_element_quadrature(m: int, n: int, j: int, k: int,
@@ -199,7 +204,8 @@ def qchannel_element_quadrature(m: int, n: int, j: int, k: int,
         return 0.0
     u, w = _laguerre_nodes(n_radial)
     radial = 0.25 * np.sum(w * (u / 2.0) ** (tot_deg / 2.0))
-    lognorm = -0.5 * (gammaln(m + 1) + gammaln(n + 1) + gammaln(j + 1) + gammaln(k + 1))
+    lg = _log_factorials(max(m, n, j, k) + 1)
+    lognorm = -0.5 * (lg[m] + lg[n] + lg[j] + lg[k])
     return float(np.real(angular) / np.pi * radial * np.exp(lognorm))
 
 
@@ -211,7 +217,7 @@ def qchannel_build(trunc: FockTruncation, validate_cp: bool = True) -> Truncated
     first, second, valid = _sector_coords(n)
     s, p, q = np.nonzero(valid[:, :, None] & valid[:, None, :])
     m, nn, j, k = first[s, p], second[s, p], first[s, q], second[s, q]
-    lg = gammaln(np.arange(2 * n - 1) + 1)
+    lg = _log_factorials(2 * n - 1)
     logval = (lg[m + k] - (m + k + 1) * np.log(2.0)
               - 0.5 * (lg[m] + lg[nn] + lg[j] + lg[k]))
     action = np.zeros((2 * n - 1, n, n), dtype=complex)

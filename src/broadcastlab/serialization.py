@@ -7,6 +7,7 @@ rejected with the offending field path."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -140,8 +141,89 @@ def channel_from_json(obj, path="$"):
 
 
 def dumps_report(report: dict) -> str:
-    """Deterministic JSON: sorted keys, full double precision floats."""
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON: sorted keys, full double precision floats.
+
+    Byte for byte `json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n"`, including its `ValueError` on NaN or infinity
+    and `TypeError` on values JSON cannot hold.  With `indent` the stdlib
+    falls back to its pure-Python encoder, so this one is specialised: each
+    list of `[re, im]` float pairs (the operator entries, nearly all of a
+    report) is formatted by one `%` over a template of fixed layout."""
+    return _encode(report, 0) + "\n"
+
+
+_ascii = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _float(x) -> str:
+    if x != x or x == _INF or x == -_INF:
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as json converts it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True or key is False or key is None:
+        return _encode(key, 0)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _pair_list(items, depth: int) -> str | None:
+    """`items` at indent level `depth` if it is a list of finite [re, im]
+    float pairs, else None (the general path then encodes it, or raises)."""
+    if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
+        return None
+    try:
+        reprs = tuple(map(float.__repr__, itertools.chain.from_iterable(items)))
+    except TypeError:  # an int, bool or anything else that is not a float
+        return None
+    if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
+        return None
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    number = inner + "  "
+    pair = "[" + number + "%s," + number + "%s" + inner + "]"
+    return "[" + inner + ("," + inner).join([pair] * len(items)) % reprs + outer + "]"
+
+
+def _encode(o, depth: int) -> str:
+    """`o` as json.dumps(sort_keys=True, indent=2) writes it at indent level `depth`."""
+    if isinstance(o, str):
+        return _ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        text = _pair_list(o, depth)
+        if text is None:
+            inner = "\n" + "  " * (depth + 1)
+            text = "[" + inner + ("," + inner).join([_encode(v, depth + 1) for v in o])
+            text += "\n" + "  " * depth + "]"
+        return text
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = "\n" + "  " * (depth + 1)
+        return ("{" + inner + ("," + inner).join(
+            [_ascii(_key(k)) + ": " + _encode(v, depth + 1) for k, v in sorted(o.items())])
+            + "\n" + "  " * depth + "}")
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def load_json_file(path):

@@ -271,6 +271,17 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_unencodable_report_exits_4_without_output(tmp_path, capsys, monkeypatch):
+    import broadcastlab.cli as cli
+
+    monkeypatch.setitem(cli._RUNNERS, "cv-position",
+                        lambda args: {"residuals": [0.5, float("nan")]})
+    out = tmp_path / "report.json"
+    assert main(["cv-position", "--output", str(out)]) == 4
+    assert "numerical failure: report cannot be encoded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pvm_embed_report_independent_of_hash_seed(tmp_path):
     """String labels live in sets, whose order follows the per-process string
     hash; the report must not depend on it (three-label atoms and a five-label
@@ -298,6 +309,22 @@ def test_pvm_embed_report_independent_of_hash_seed(tmp_path):
                                "--input", path], env=env, capture_output=True, check=True)
         reports.add(proc.stdout)
     assert len(reports) == 1
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency; scipy would double the start-up time."""
+    import os
+    import subprocess
+    import sys
+
+    import broadcastlab
+
+    src = os.path.dirname(os.path.dirname(broadcastlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, broadcastlab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parser_reuse_keeps_default_configuration(tmp_path):

@@ -7,6 +7,7 @@ from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, channel_m
 from broadcastlab.config import DimensionCapError
 from broadcastlab.fixedpoint import (
     BroadcastingAlgebra,
+    FixedPointError,
     _cesaro_means,
     atomic_decomposition,
     broadcasting_product,
@@ -309,6 +310,30 @@ def test_psi0_cp_residual_matches_projected_basis_choi():
             choi[k * d:(k + 1) * d, l * d:(l + 1) * d] = alg.project(e)
     w = np.linalg.eigvalsh(0.5 * (choi + dagger(choi)))
     assert alg.psi0_cp_residual == pytest.approx(max(0.0, -w.min()), rel=0, abs=1e-15)
+
+
+def test_psi0_cp_residual_sees_a_non_cp_projector(monkeypatch):
+    """psi_0 swapped for the idempotent, non-CP X -> diag(X) + c tr(sigma_x X) Z on
+    the qubit pinching: the residual is the negative part of its Choi spectrum,
+    (sqrt(1 + 4c^2) - 1) / 2, and fails validation."""
+    import broadcastlab.fixedpoint as fixedpoint
+
+    z, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    spectral = fixedpoint._spectral_projector
+
+    def non_cp(right, left):
+        return spectral(right, left) + 0.5 * np.outer(vec(z), vec(sx).conj())
+
+    monkeypatch.setattr(fixedpoint, "_spectral_projector", non_cp)
+    alg = BroadcastingAlgebra(_pinching(2), validate_tol=np.inf)
+    choi = np.block([[alg.project(np.outer(np.eye(2)[k], np.eye(2)[l])) for l in range(2)]
+                     for k in range(2)])
+    negative = -np.linalg.eigvalsh(0.5 * (choi + dagger(choi))).min()
+    assert negative == pytest.approx((np.sqrt(2.0) - 1) / 2, abs=1e-12)
+    assert alg.psi0_cp_residual == pytest.approx(negative, rel=0, abs=1e-15)
+    assert alg.idempotency_residual <= 1e-15
+    with pytest.raises(FixedPointError, match="validation failed"):
+        BroadcastingAlgebra(_pinching(2))
 
 
 def test_cstar_identity_from_product_table():

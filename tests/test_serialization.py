@@ -13,6 +13,7 @@ from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,
     channel_to_json,
+    dumps_report,
     io_roundtrip,
     operator_from_json,
     operator_to_json,
@@ -144,3 +145,76 @@ def test_operator_from_json_returns_finite_matrix_or_schema_error(doc):
         return
     assert m.shape == (doc["dim_row"], doc["dim_col"])
     assert np.all(np.isfinite(m))
+
+
+def _assert_encodes_like_json(obj):
+    """dumps_report gives json.dumps's bytes, or raises json's error with its message."""
+    try:
+        want = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            dumps_report(obj)
+        assert str(got.value) == str(exc)
+        return
+    assert dumps_report(obj) == want
+
+
+_NUMBER = st.floats() | st.integers() | st.booleans()
+# lists of [re, im] pairs, the shape of operator entries; NaN, the infinities,
+# ints and bools among the floats send a list to the general path
+_PAIRS = (st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=2, max_size=2), max_size=5)
+          | st.lists(st.lists(_NUMBER, min_size=2, max_size=2), max_size=5)
+          | st.lists(st.lists(_NUMBER, max_size=3), max_size=3))
+_KEY = st.text(max_size=6) | st.integers() | st.floats() | st.booleans() | st.none()
+_REPORT = st.recursive(
+    st.none() | _NUMBER | st.text(max_size=6) | _PAIRS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=5)
+                   | st.dictionaries(_KEY, inner, max_size=3)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT)
+def test_dumps_report_matches_json_dumps(report):
+    _assert_encodes_like_json(report)
+
+
+@pytest.mark.parametrize("report", [
+    {"x": -0.0, "tiny": 5e-324, "big": 1e308, "neg": -1e308},
+    {"np": np.float64(0.1), "np_pairs": [[np.float64(1 / 3), np.float64(-0.0)]]},
+    {"entries": [[0.5, 1], [2.0, -0.25]]},
+    {"entries": [[0.5, True], [False, -0.25]]},
+    {"entries": [[0.5, None], [1.0, 2.0]]},
+    {"entries": [(0.5, 1.5), [1.0, 2.0]], "t": (1, [2.0, 3.0])},
+    {"\u00e9t\u00e9": ["\u03c8\u2080", "\ud83d\ude00", "tab\t"], "": {}, "e": [], "n": None},
+    {1: "int key", 2.5: "float key", True: "bool key", None: "null key"},
+    {"b": {"a": [{}, [], [[]], [[1.0, 2.0]]]}, "a": 0},
+    [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
+    "top-level string",
+    7,
+])
+def test_dumps_report_explicit_cases(report):
+    _assert_encodes_like_json(report)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+@pytest.mark.parametrize("where", ["value", "pair", "key"])
+def test_dumps_report_rejects_non_finite_floats(bad, where):
+    report = {"value": {"x": bad}, "pair": {"entries": [[0.5, 0.0], [0.25, bad]]},
+              "key": {bad: 1}}[where]
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        dumps_report(report)
+    _assert_encodes_like_json(report)
+
+
+@pytest.mark.parametrize("report", [
+    {"x": [np.int64(3)]}, {"x": {1, 2}}, {"x": 1j}, {"entries": [[0.5, np.int64(1)]]},
+    {(1, 2): 0},
+])
+def test_dumps_report_rejects_what_json_cannot_hold(report):
+    with pytest.raises(TypeError):
+        dumps_report(report)
+    _assert_encodes_like_json(report)

@@ -312,18 +312,89 @@ def _herm_from_coords(x, n: int) -> np.ndarray:
     return out
 
 
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """Re A + Im A, batched.  For Hermitian A the real part is symmetric and the
+    imaginary part antisymmetric, so this is a Hilbert-Schmidt isometry from the
+    Hermitian n x n matrices onto all real n x n matrices: Re tr(A B) is the dot
+    product of the real forms of A and B."""
+    return a.real + a.imag
+
+
+def _herm_from_real_form(s: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix whose real form is the real n x n matrix `s`: real part
+    the symmetric part of `s`, imaginary part its antisymmetric part."""
+    out = np.empty(s.shape, dtype=complex)
+    out.real = s + s.T
+    out.imag = s - s.T
+    out *= 0.5
+    return out
+
+
+def _partial_transpose(j: np.ndarray, d: int) -> np.ndarray:
+    """Transpose of the first factor of a (d x d)-bipartite matrix; the unchecked
+    form of `operators.partial_transpose(j, (d, d), side=1)`."""
+    return j.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
+
+
+def _psd_part(z: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to Hermitian `z` in the Frobenius norm: `z` minus its
+    negative spectral part."""
+    w, v = np.linalg.eigh(z)
+    k = int(np.searchsorted(w, 0.0))  # eigenvalues come in ascending order
+    neg = v[:, :k]
+    return z - (neg * w[:k]) @ dagger(neg)
+
+
+def _constraint_rows(effects, picture: str) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the affine system over the Choi matrix, in `hermitian_basis(d^2)`
+    coordinates and in real form.
+
+    Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
+    Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of L*(g_r), the
+    adjoint of the constraint map L applied to the output basis element g_r: one
+    batched image per constraint.  Trace preservation L(J) = tr_2 J has
+    L*(g) = g (x) I; the Heisenberg condition L(J) = tr_2[J (I (x) E)]^T has
+    L*(g) = g^T (x) E; the Schrodinger one L(J) = tr_1[J (E^T (x) I)] has
+    L*(g) = E^T (x) g.
+    """
+    d = effects[0].shape[0]
+    n = d * d
+    out_basis = _herm_from_coords(np.eye(n), d)
+
+    def block(left, right):
+        images = np.einsum("...ab,...ij->...aibj", left, right).reshape(n, n, n)
+        return _herm_coords(images, n), _real_form(images).reshape(n, n * n)
+
+    blocks = [block(out_basis, np.eye(d))]
+    for e in effects:
+        if picture == "heisenberg":
+            blocks.append(block(out_basis.transpose(0, 2, 1), e))
+        else:
+            blocks.append(block(e.T, out_basis))
+    coords, real_forms = zip(*blocks)
+    return np.concatenate(coords), np.concatenate(real_forms)
+
+
 class FeasibilityProblem:
     """Affine-plus-cone description of the EB fixed-point search.
 
-    The variable is the Choi matrix J of a candidate channel on C^d, held as
-    its real coordinates over `hermitian_basis(d^2)` (a Hilbert-Schmidt
-    isometry, so every projection below is orthogonal in the Frobenius
-    metric).  Affine rows enforce trace preservation and the fixed-point
-    conditions for each effect; cone membership (PSD and PPT, the EB
-    relaxation) is handled by projection.  `picture` selects whether the
-    effects are fixed by the Heisenberg dual (the broadcastability condition)
-    or by the Schrodinger action; the two coincide on the commuting instances
-    decided here.
+    The variable is the Choi matrix J of a candidate channel on C^d, a Hermitian
+    d^2 x d^2 matrix; the projections take and return such matrices and are
+    orthogonal in the Frobenius metric.  Affine rows enforce trace preservation
+    and the fixed-point conditions for each effect; cone membership (PSD and
+    PPT, the EB relaxation) is handled by projection.  `picture` selects whether
+    the effects are fixed by the Heisenberg dual (the broadcastability
+    condition) or by the Schrodinger action; the two coincide on the commuting
+    instances decided here.
+
+    `affine_matrix` and `affine_rhs` are the affine system A x = b over the
+    coordinates x of J in `hermitian_basis(d^2)` (`choi_from_coords` maps
+    coordinates to J).  One SVD at set-up gives the orthonormal rows Q of the
+    row space (singular values above 1e-12 of the largest) and c = Q pinv(A) b:
+    the affine projection is x - Q^T (Q x - c) and the affine distance
+    ||Q x - c||.  The SVD is taken of the rows in real form (`_real_form`, an
+    orthogonal change of coordinates, so U and the singular values are those of
+    A), and Q acts on the real form of J: the affine step needs no index gather.
     """
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
@@ -347,66 +418,46 @@ class FeasibilityProblem:
         self.tol = float(tol)
         self.stall_window = int(stall_window)
 
-        # Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
-        # Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of
-        # L*(g_r), the adjoint of the constraint map L applied to the output
-        # basis element g_r: one batched image per constraint.  Trace
-        # preservation L(J) = tr_2 J has L*(g) = g (x) I; the Heisenberg
-        # condition L(J) = tr_2[J (I (x) E)]^T has L*(g) = g^T (x) E; the
-        # Schrodinger one L(J) = tr_1[J (E^T (x) I)] has L*(g) = E^T (x) g.
-        out_basis = _herm_from_coords(np.eye(d * d), d)
-        eye = np.eye(d)
+        self.affine_matrix, real_rows = _constraint_rows(self.effects, picture)
+        self.affine_rhs = _herm_coords(np.stack((np.eye(d),) + self.effects), d).ravel()
+        u, s, vh = np.linalg.svd(real_rows, full_matrices=False)
+        rank = int(np.count_nonzero(s > 1e-12 * s[0]))
+        self._rows = vh[:rank]
+        # the row space vanishes wherever every row does; clear the SVD's rounding there
+        self._rows[:, ~real_rows.any(axis=0)] = 0.0
+        self._rhs = (self.affine_rhs @ u[:, :rank]) / s[:rank]
 
-        def block(left, right):
-            return _herm_coords(np.einsum("...ab,...ij->...aibj", left, right)
-                                .reshape(d * d, d * d, d * d), d * d)
+    # projections of Hermitian d^2 x d^2 matrices, orthogonal in the Frobenius metric
+    def _affine_gap(self, s: np.ndarray) -> np.ndarray:
+        """Q x - c, from the real form `s` of J."""
+        return self._rows @ s.ravel() - self._rhs
 
-        blocks = [block(out_basis, eye)]
-        for e in self.effects:
-            if picture == "heisenberg":
-                blocks.append(block(out_basis.transpose(0, 2, 1), e))
-            else:
-                blocks.append(block(e.T, out_basis))
-        self.affine_matrix = np.concatenate(blocks)
-        self.affine_rhs = _herm_coords(np.stack((eye,) + self.effects), d).ravel()
-        self._affine_pinv = np.linalg.pinv(self.affine_matrix, rcond=1e-12)
+    def project_affine(self, j: np.ndarray) -> np.ndarray:
+        s = _real_form(j)
+        s -= (self._affine_gap(s) @ self._rows).reshape(s.shape)
+        return _herm_from_real_form(s)
 
-    # projections, all orthogonal in the Frobenius metric
-    def _affine_step(self, x: np.ndarray) -> np.ndarray:
-        return self._affine_pinv @ (self.affine_matrix @ x - self.affine_rhs)
+    def project_psd(self, j: np.ndarray) -> np.ndarray:
+        return _psd_part(j)
 
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self._affine_step(x)
-
-    def _project_psd_matrix(self, j: np.ndarray) -> np.ndarray:
-        w, v = np.linalg.eigh(0.5 * (j + dagger(j)))
-        return (v * np.clip(w, 0.0, None)) @ dagger(v)
-
-    def project_psd(self, x: np.ndarray) -> np.ndarray:
-        n = self.dim ** 2
-        return _herm_coords(self._project_psd_matrix(_herm_from_coords(x, n)), n)
-
-    def project_ppt(self, x: np.ndarray) -> np.ndarray:
+    def project_ppt(self, j: np.ndarray) -> np.ndarray:
         d = self.dim
-        jt = partial_transpose(_herm_from_coords(x, d * d), (d, d), side=1)
-        jt = self._project_psd_matrix(jt)
-        return _herm_coords(partial_transpose(jt, (d, d), side=1), d * d)
+        return _partial_transpose(_psd_part(_partial_transpose(j, d)), d)
 
-    def residuals(self, x: np.ndarray) -> dict:
-        """Distances from `x` to the three sets: for the cones, the norm of the
-        negative eigenvalues of J and of its partial transpose (the isometries
-        carry ||x - P(x)|| over to them); for the affine set, the step length."""
-        d = self.dim
-        j = _herm_from_coords(x, d * d)
-        w = np.linalg.eigvalsh(j)
-        wt = np.linalg.eigvalsh(partial_transpose(j, (d, d), side=1))
+    def residuals(self, j: np.ndarray) -> dict:
+        """Distances from `j` to the three sets: for the cones, the norm of the
+        negative eigenvalues of J and of its partial transpose (one batched
+        `eigvalsh`); for the affine set, ||Q x - c||."""
+        w = np.linalg.eigvalsh(np.stack((j, _partial_transpose(j, self.dim))))
+        psd, ppt = np.linalg.norm(np.minimum(w, 0.0), axis=1)
         return {
-            "psd": float(np.linalg.norm(np.minimum(w, 0.0))),
-            "ppt": float(np.linalg.norm(np.minimum(wt, 0.0))),
-            "affine": float(np.linalg.norm(self._affine_step(x))),
+            "psd": float(psd),
+            "ppt": float(ppt),
+            "affine": float(np.linalg.norm(self._affine_gap(_real_form(j)))),
         }
 
     def choi_from_coords(self, x: np.ndarray) -> np.ndarray:
+        """The Choi matrix with coordinates `x` over `hermitian_basis(d^2)`."""
         return _herm_from_coords(x, self.dim ** 2)
 
 
@@ -458,8 +509,8 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     since it last improved.
     """
     d = problem.dim
-    x = _herm_coords(np.eye(d * d) / d, d * d)
-    corrections = {"psd": np.zeros_like(x), "ppt": np.zeros_like(x)}
+    j = np.eye(d * d, dtype=complex) / d
+    corrections = {"psd": np.zeros_like(j), "ppt": np.zeros_like(j)}
     projections = {"psd": problem.project_psd, "ppt": problem.project_ppt}
 
     notes = [PPT_NOTE]
@@ -467,7 +518,7 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
         notes.append("d > 3: PPT feasibility does not certify an entanglement-breaking witness")
 
     history = []
-    res = problem.residuals(x)
+    res = problem.residuals(j)
     rmax = max(res.values())
     history.append(rmax)
     best = rmax
@@ -481,11 +532,11 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
         for t in range(1, problem.budget + 1):
             cycles = t
             for name in ("psd", "ppt"):
-                z = x + corrections[name]
-                x = projections[name](z)
-                corrections[name] = z - x
-            x = problem.project_affine(x)
-            res = problem.residuals(x)
+                z = j + corrections[name]
+                j = projections[name](z)
+                corrections[name] = z - j
+            j = problem.project_affine(j)
+            res = problem.residuals(j)
             rmax = max(res.values())
             history.append(rmax)
             if rmax <= problem.tol:
@@ -503,7 +554,7 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
                 status = "infeasible_stalled"
                 break
 
-    witness_matrix = problem.choi_from_coords(x)
+    witness_matrix = j
     witness_channel = None
     verification: dict = {}
     if status == "feasible":

@@ -126,3 +126,23 @@ def random_pvm(d, rng, n_outcomes=None):
 def random_hermitian(d, rng):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (g + dagger(g))
+
+
+def fourier_basis(d: int) -> np.ndarray:
+    """Columns are the discrete Fourier basis of C^d."""
+    k = np.arange(d)
+    return np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)
+
+
+def rotated_mub_effects(d, rng):
+    """Rank-one effects of the computational and Fourier bases, both rotated by
+    one random unitary: 2d effects that no entanglement-breaking channel fixes."""
+    u = random_unitary(d, rng)
+    return [np.outer(v, v.conj()) for basis in (np.eye(d), fourier_basis(d))
+            for v in (u @ basis).T]
+
+
+def commuting_pair(spectra, rng):
+    """Two commuting effects with the given eigenvalues in a random common basis."""
+    u = random_unitary(len(spectra[0]), rng)
+    return [u @ np.diag(np.asarray(ev, dtype=complex)) @ dagger(u) for ev in spectra]

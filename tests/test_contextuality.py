@@ -188,8 +188,8 @@ def test_feasibility_qubit_pvm_feasible_and_cross_checked():
     from broadcastlab.contextuality import _herm_coords
     coords = _herm_coords(j, 4)
     assert np.linalg.norm(problem.affine_matrix @ coords - problem.affine_rhs) <= 1e-10
-    assert np.linalg.norm(coords - problem.project_psd(coords)) <= 1e-10
-    assert np.linalg.norm(coords - problem.project_ppt(coords)) <= 1e-10
+    assert np.linalg.norm(j - problem.project_psd(j)) <= 1e-10
+    assert np.linalg.norm(j - problem.project_ppt(j)) <= 1e-10
 
 
 def test_feasibility_identity_effect_trivial():

@@ -1,12 +1,16 @@
-"""The Dykstra feasibility search on index-map coordinates, each piece checked
-against a reference built here from `hermitian_basis` and `partial_trace`."""
+"""The Dykstra feasibility search on the Choi matrix, each piece checked against
+a reference built here from `hermitian_basis`, `partial_trace` and the
+pseudo-inverse of the affine rows."""
 
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from families import random_density, random_unitary
+from families import commuting_pair, random_density, random_unitary, rotated_mub_effects
 
 from broadcastlab.contextuality import (
     FeasibilityProblem,
@@ -15,7 +19,13 @@ from broadcastlab.contextuality import (
     check_measurements_feasibility,
     extend_effect_functional,
 )
-from broadcastlab.operators import OperatorError, hermitian_basis, hs_inner, partial_trace
+from broadcastlab.operators import (
+    OperatorError,
+    hermitian_basis,
+    hs_inner,
+    partial_trace,
+    partial_transpose,
+)
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
@@ -115,6 +125,45 @@ def test_affine_system_matches_basis_loop(d, picture):
     assert np.max(np.abs(problem.affine_rhs - b)) <= 1e-13
 
 
+# -- affine step against the pseudo-inverse --------------------------------------
+
+# rank of the affine rows of the 2d rotated-MUB effects at d = 2..5
+MUB_RANKS = {"heisenberg": (12, 45, 112, 225), "schrodinger": (13, 49, 121, 241)}
+
+
+def _check_affine_against_pinv(problem, rng):
+    """project_affine and the affine residual against x - pinv(A) (A x - b)."""
+    n = problem.dim ** 2
+    a, b = problem.affine_matrix, problem.affine_rhs
+    pinv = np.linalg.pinv(a, rcond=1e-12)
+    for _ in range(3):
+        x = rng.standard_normal(n * n)
+        step = pinv @ (a @ x - b)
+        j = problem.choi_from_coords(x)
+        out = _herm_coords(problem.project_affine(j), n)
+        assert np.max(np.abs(out - (x - step))) <= 1e-12
+        assert problem.residuals(j)["affine"] == pytest.approx(np.linalg.norm(step), abs=1e-12)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_affine_step_matches_pseudo_inverse(d, picture):
+    rng = np.random.default_rng(160 + d)
+    problem = FeasibilityProblem(rotated_mub_effects(d, rng), picture=picture)
+    assert problem.affine_matrix.shape == (d * d * (2 * d + 1), d ** 4)
+    assert np.linalg.matrix_rank(problem.affine_matrix) == MUB_RANKS[picture][d - 2]
+    _check_affine_against_pinv(problem, rng)
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_one_dimensional_effect_feasible_at_cycle_zero(picture):
+    problem = FeasibilityProblem([[[0.5]]], picture=picture)
+    _check_affine_against_pinv(problem, np.random.default_rng(170))
+    verdict = check_measurements_feasibility(problem)
+    assert verdict.status == "feasible"
+    assert verdict.cycles == 0
+
+
 # -- residuals -----------------------------------------------------------------
 
 
@@ -124,7 +173,7 @@ def test_residuals_equal_projection_distances(d, picture):
     rng = np.random.default_rng(140 + d)
     problem = FeasibilityProblem([random_density(d, rng) for _ in range(2)], picture=picture)
     for _ in range(3):
-        x = rng.standard_normal(d ** 4)
+        x = problem.choi_from_coords(rng.standard_normal(d ** 4))
         res = problem.residuals(x)
         assert res["psd"] == pytest.approx(
             np.linalg.norm(x - problem.project_psd(x)), abs=1e-12)
@@ -134,12 +183,51 @@ def test_residuals_equal_projection_distances(d, picture):
             np.linalg.norm(x - problem.project_affine(x)), abs=1e-12)
 
 
+# -- properties of the projections ------------------------------------------------
+
+
+@st.composite
+def _problems_and_inputs(draw):
+    """A problem on 1-3 random effects at d = 2 or 3 in either picture, and two
+    Hermitian d^2 x d^2 matrices given by their coordinates."""
+    d = draw(st.sampled_from([2, 3]))
+    picture = draw(st.sampled_from(["heisenberg", "schrodinger"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    effects = []
+    for _ in range(draw(st.integers(1, 3))):
+        u = random_unitary(d, rng)
+        effects.append(u @ np.diag(rng.uniform(0.0, 1.0, d)) @ u.conj().T)
+    problem = FeasibilityProblem(effects, picture=picture)
+    coords = arrays(np.float64, d ** 4, elements=st.floats(-4.0, 4.0))
+    return problem, problem.choi_from_coords(draw(coords)), problem.choi_from_coords(draw(coords))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_problems_and_inputs())
+def test_projections_are_nonexpansive_idempotent_and_land_in_their_sets(case):
+    problem, x, y = case
+    d = problem.dim
+    projections = {"psd": problem.project_psd, "ppt": problem.project_ppt,
+                   "affine": problem.project_affine}
+    res = problem.residuals(x)
+    for name, project in projections.items():
+        px = project(x)
+        assert np.max(np.abs(project(px) - px)) <= 1e-10
+        assert np.linalg.norm(px - project(y)) <= np.linalg.norm(x - y) + 1e-12
+        assert res[name] == pytest.approx(np.linalg.norm(x - px), abs=1e-12)
+    assert np.linalg.eigvalsh(problem.project_psd(x)).min() >= -1e-12
+    ppt = partial_transpose(problem.project_ppt(x), (d, d), side=1)
+    assert np.linalg.eigvalsh(ppt).min() >= -1e-12
+    coords = _herm_coords(problem.project_affine(x), d * d)
+    assert np.max(np.abs(problem.affine_matrix @ coords - problem.affine_rhs)) <= 1e-12
+
+
 # -- the search loop -------------------------------------------------------------
 
 
 def _reference_search(problem):
-    """Dykstra with a correction on all three sets and residuals from the
-    projections: (status, cycles, residual history)."""
+    """Dykstra on the Choi matrix with a correction on all three sets and
+    residuals from the projections: (status, cycles, residual history)."""
     d = problem.dim
     names = ("psd", "ppt", "affine")
     project = {"psd": problem.project_psd, "ppt": problem.project_ppt,
@@ -148,7 +236,7 @@ def _reference_search(problem):
     def rmax(x):
         return max(np.linalg.norm(x - project[n](x)) for n in names)
 
-    x = _basis_coords(np.eye(d * d) / d, d * d)
+    x = np.eye(d * d, dtype=complex) / d
     corrections = {n: np.zeros_like(x) for n in names}
     history = [rmax(x)]
     if history[0] <= problem.tol:
@@ -169,11 +257,6 @@ def _reference_search(problem):
     return "inconclusive", problem.budget, history
 
 
-def _commuting_pair_d3():
-    u = random_unitary(3, np.random.default_rng(150))
-    return [u @ np.diag(ev) @ u.conj().T for ev in ((0.9, 0.5, 0.1), (0.2, 0.7, 0.4))]
-
-
 def _random_pair_d2():
     rng = np.random.default_rng(3)
     return [random_density(2, rng) for _ in range(2)]
@@ -182,12 +265,18 @@ def _random_pair_d2():
 # In the Heisenberg picture a commuting pair at d = 3 is feasible after one
 # cycle; the Schrodinger picture takes hundreds, which exercises the loop.  On
 # both of those instances plain alternating projections give the same
-# iterates; on the random pair the cone corrections change them.
+# iterates; on the random pair the cone corrections change them.  The
+# commuting pair at d = 4 is feasible after 55 cycles; the rotated MUB pair at
+# d = 3 stalls.
 @pytest.mark.parametrize("effects, picture, status", [
     ([KET0, KET1, PLUS, MINUS], "heisenberg", "infeasible_stalled"),
-    (_commuting_pair_d3(), "schrodinger", "feasible"),
+    (commuting_pair(((0.9, 0.5, 0.1), (0.2, 0.7, 0.4)), np.random.default_rng(150)),
+     "schrodinger", "feasible"),
     (_random_pair_d2(), "schrodinger", "infeasible_stalled"),
-], ids=["zx", "commuting-d3", "random-d2"])
+    (commuting_pair(((0.75, 0.5, 0.25, 0.0), (0.1, 0.1, 0.8, 0.8)),
+                    np.random.default_rng(151)), "heisenberg", "feasible"),
+    (rotated_mub_effects(3, np.random.default_rng(152)), "heisenberg", "infeasible_stalled"),
+], ids=["zx", "commuting-d3", "random-d2", "commuting-d4", "mub-d3"])
 def test_search_matches_loop_with_affine_correction(effects, picture, status):
     problem = FeasibilityProblem(effects, picture=picture)
     verdict = check_measurements_feasibility(problem)

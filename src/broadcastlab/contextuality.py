@@ -330,24 +330,19 @@ def _herm_from_real_form(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _partial_transpose(j: np.ndarray, d: int) -> np.ndarray:
-    """Transpose of the first factor of a (d x d)-bipartite matrix; the unchecked
-    form of `operators.partial_transpose(j, (d, d), side=1)`."""
-    return j.reshape(d, d, d, d).transpose(2, 1, 0, 3).reshape(d * d, d * d)
-
-
 def _psd_part(z: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix to Hermitian `z` in the Frobenius norm: `z` minus its
-    negative spectral part."""
+    """Nearest PSD matrix to the Hermitian part of `z` in the Frobenius norm: that
+    part minus its negative spectral part."""
+    z = 0.5 * (z + dagger(z))
     w, v = np.linalg.eigh(z)
     k = int(np.searchsorted(w, 0.0))  # eigenvalues come in ascending order
     neg = v[:, :k]
     return z - (neg * w[:k]) @ dagger(neg)
 
 
-def _constraint_rows(effects, picture: str) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the affine system over the Choi matrix, in `hermitian_basis(d^2)`
-    coordinates and in real form.
+def _constraint_rows(effects, picture: str, coords: bool = False) -> np.ndarray:
+    """Rows of the affine system over the Choi matrix, in real form, or with
+    `coords` in `hermitian_basis(d^2)` coordinates.
 
     Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
     Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of L*(g_r), the
@@ -363,7 +358,7 @@ def _constraint_rows(effects, picture: str) -> tuple[np.ndarray, np.ndarray]:
 
     def block(left, right):
         images = np.einsum("...ab,...ij->...aibj", left, right).reshape(n, n, n)
-        return _herm_coords(images, n), _real_form(images).reshape(n, n * n)
+        return _herm_coords(images, n) if coords else _real_form(images).reshape(n, n * n)
 
     blocks = [block(out_basis, np.eye(d))]
     for e in effects:
@@ -371,8 +366,7 @@ def _constraint_rows(effects, picture: str) -> tuple[np.ndarray, np.ndarray]:
             blocks.append(block(out_basis.transpose(0, 2, 1), e))
         else:
             blocks.append(block(e.T, out_basis))
-    coords, real_forms = zip(*blocks)
-    return np.concatenate(coords), np.concatenate(real_forms)
+    return np.concatenate(blocks)
 
 
 class FeasibilityProblem:
@@ -418,7 +412,7 @@ class FeasibilityProblem:
         self.tol = float(tol)
         self.stall_window = int(stall_window)
 
-        self.affine_matrix, real_rows = _constraint_rows(self.effects, picture)
+        real_rows = _constraint_rows(self.effects, picture)
         self.affine_rhs = _herm_coords(np.stack((np.eye(d),) + self.effects), d).ravel()
         u, s, vh = np.linalg.svd(real_rows, full_matrices=False)
         rank = int(np.count_nonzero(s > 1e-12 * s[0]))
@@ -426,6 +420,12 @@ class FeasibilityProblem:
         # the row space vanishes wherever every row does; clear the SVD's rounding there
         self._rows[:, ~real_rows.any(axis=0)] = 0.0
         self._rhs = (self.affine_rhs @ u[:, :rank]) / s[:rank]
+
+    @functools.cached_property
+    def affine_matrix(self) -> np.ndarray:
+        """A over `hermitian_basis(d^2)` coordinates, built on first use: the search
+        itself reads only the orthonormal rows Q."""
+        return _constraint_rows(self.effects, self.picture, coords=True)
 
     # projections of Hermitian d^2 x d^2 matrices, orthogonal in the Frobenius metric
     def _affine_gap(self, s: np.ndarray) -> np.ndarray:
@@ -442,13 +442,14 @@ class FeasibilityProblem:
 
     def project_ppt(self, j: np.ndarray) -> np.ndarray:
         d = self.dim
-        return _partial_transpose(_psd_part(_partial_transpose(j, d)), d)
+        return partial_transpose(_psd_part(partial_transpose(j, (d, d))), (d, d))
 
     def residuals(self, j: np.ndarray) -> dict:
         """Distances from `j` to the three sets: for the cones, the norm of the
         negative eigenvalues of J and of its partial transpose (one batched
         `eigvalsh`); for the affine set, ||Q x - c||."""
-        w = np.linalg.eigvalsh(np.stack((j, _partial_transpose(j, self.dim))))
+        d = self.dim
+        w = np.linalg.eigvalsh(np.stack((j, partial_transpose(j, (d, d)))))
         psd, ppt = np.linalg.norm(np.minimum(w, 0.0), axis=1)
         return {
             "psd": float(psd),

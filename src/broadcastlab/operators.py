@@ -68,7 +68,7 @@ def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise OperatorError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise OperatorError("matrix entries must be finite (no NaN/Inf)")
     return m
 
@@ -234,9 +234,9 @@ def partial_transpose(a, dims, side: int = 1) -> np.ndarray:
     d1, d2 = _check_bipartite(a, dims)
     t = a.reshape(d1, d2, d1, d2)
     if side == 1:
-        t = np.einsum("ijkl->kjil", t)
+        t = t.transpose(2, 1, 0, 3)
     elif side == 2:
-        t = np.einsum("ijkl->ilkj", t)
+        t = t.transpose(0, 3, 2, 1)
     else:
         raise OperatorError(f"side must be 1 or 2, got {side!r}")
     return t.reshape(d1 * d2, d1 * d2)

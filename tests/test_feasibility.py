@@ -222,6 +222,23 @@ def test_projections_are_nonexpansive_idempotent_and_land_in_their_sets(case):
     assert np.max(np.abs(problem.affine_matrix @ coords - problem.affine_rhs)) <= 1e-12
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_cone_projections_drop_an_anti_hermitian_part(d, picture):
+    """The loop feeds the cones j + correction, Hermitian only up to rounding: the
+    projections act on the Hermitian part and return Hermitian matrices."""
+    rng = np.random.default_rng(150 + d)
+    problem = FeasibilityProblem([random_density(d, rng) for _ in range(2)], picture=picture)
+    for scale in (1e-15, 1e-3):
+        x = problem.choi_from_coords(rng.standard_normal(d ** 4))
+        b = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        skewed = x + scale * (b - b.conj().T)
+        for project in (problem.project_psd, problem.project_ppt):
+            out = project(skewed)
+            assert np.max(np.abs(out - out.conj().T)) <= 1e-13
+            assert np.max(np.abs(out - project(x))) <= 1e-12
+
+
 # -- the search loop -------------------------------------------------------------
 
 

@@ -54,6 +54,18 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 
+# --tol default of each subcommand, recorded in the report's config
+_DEFAULT_TOL = {
+    "fixpoints": 1e-9,
+    "check-states": 1e-9,
+    "check-meas": 1e-7,
+    "pvm-embed": 1e-10,
+    "approx-check": 1e-10,
+    "cv-q": 1e-8,
+    "cv-shift": 1e-9,
+    "cv-position": 1e-10,
+}
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", default=None, help="report path (default stdout)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=float, default=_DEFAULT_TOL[name], help="tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized routines")
         p.add_argument("--budget", type=int, default=20000, help="iteration budget")
         p.add_argument("--levels", type=int, default=24, help="Fock truncation levels")
@@ -113,7 +125,7 @@ def _load_states(path):
         raise SchemaError(f"$.states: {exc}") from exc
 
 
-def _load_effects(path, required=("effects",), optional=("picture", "channel", "epsilon")):
+def _load_effects(path, required, optional=()):
     doc = load_json_file(path)
     _expect_keys(doc, required, optional)
     mats = [operator_from_json(e, f"$.effects[{i}]")
@@ -127,8 +139,7 @@ def _load_effects(path, required=("effects",), optional=("picture", "channel", "
 
 def _run_check_states(args) -> dict:
     states = _load_states(args.input)
-    tol = args.tol = args.tol if args.tol is not None else 1e-9
-    verdict = check_states(states, tol=tol, seed=args.seed)
+    verdict = check_states(states, tol=args.tol, seed=args.seed)
     residuals = [r for r in (verdict.max_fix_residual, verdict.max_marginal_residual)
                  if r is not None]
     return {
@@ -143,10 +154,9 @@ def _run_check_states(args) -> dict:
 
 
 def _run_check_meas(args) -> dict:
-    effects, doc = _load_effects(args.input)
-    tol = args.tol = args.tol if args.tol is not None else 1e-7
+    effects, doc = _load_effects(args.input, ("effects",), ("picture",))
     picture = doc.get("picture", "heisenberg")
-    problem = FeasibilityProblem(effects, picture=picture, budget=args.budget, tol=tol)
+    problem = FeasibilityProblem(effects, picture=picture, budget=args.budget, tol=args.tol)
     verdict = check_measurements_feasibility(problem)
     witness = None
     if verdict.witness_channel is not None:
@@ -178,7 +188,6 @@ def _run_pvm_embed(args) -> dict:
         raise SchemaError("$.subsets: expected a list of label lists")
     projections = [operator_from_json(p, f"$.projections[{i}]")
                    for i, p in enumerate(_list_field(doc, "projections"))]
-    args.tol = args.tol if args.tol is not None else 1e-10
     embedding = pvm_embed(doc["labels"], projections,
                           [set(s) for s in doc["subsets"]], tol=args.tol)
     return {
@@ -197,9 +206,7 @@ def _run_pvm_embed(args) -> dict:
 
 
 def _run_approx_check(args) -> dict:
-    args.tol = args.tol if args.tol is not None else 1e-10
-    effects, doc = _load_effects(args.input, required=("effects", "channel", "epsilon"),
-                                 optional=("picture",))
+    effects, doc = _load_effects(args.input, ("effects", "channel", "epsilon"))
     epsilon = doc["epsilon"]
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
         raise SchemaError(f"$.epsilon: expected a number, got {type(epsilon).__name__}")
@@ -222,12 +229,10 @@ def _run_fixpoints(args) -> dict:
     doc = load_json_file(args.input)
     _expect_keys(doc, ("channel",))
     channel = channel_from_json(doc["channel"], "$.channel")
-    tol = args.tol = args.tol if args.tol is not None else 1e-9
-    return fixedpoint_report(channel, tol=tol, seed=args.seed)
+    return fixedpoint_report(channel, tol=args.tol, seed=args.seed)
 
 
 def _run_cv_q(args) -> dict:
-    args.tol = args.tol if args.tol is not None else 1e-8
     trunc = FockTruncation(args.levels)
     channel = qchannel_build(trunc)
     report = qchannel_fixed_analysis(channel, window=max(2, args.levels // 3),
@@ -254,7 +259,6 @@ def _run_cv_q(args) -> dict:
 
 
 def _run_cv_shift(args) -> dict:
-    args.tol = args.tol if args.tol is not None else 1e-9
     trunc = FockTruncation(args.levels)
     report = shift_channel_study(trunc, seed=args.seed)
     report["sweep_rows"] = [
@@ -266,7 +270,6 @@ def _run_cv_shift(args) -> dict:
 
 
 def _run_cv_position(args) -> dict:
-    args.tol = args.tol if args.tol is not None else 1e-10
     trunc = FockTruncation(args.levels)
     bins_list = [args.bins] if args.bins is not None else [2, 4, 8, 16]
     args.bins = bins_list if len(bins_list) > 1 else bins_list[0]
@@ -299,7 +302,7 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+    if not (math.isfinite(args.tol) and args.tol > 0):
         print(f"error: invalid input: --tol must be finite and positive, got {args.tol!r}",
               file=sys.stderr)
         return EXIT_PARSE

@@ -6,7 +6,6 @@ constructive extension of quasi-linear effect functionals."""
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -25,6 +24,7 @@ from .operators import (
     commutator_defect,
     dagger,
     frob_norm,
+    hermitian_basis,
     op_norm,
     partial_trace,
     partial_transpose,
@@ -51,7 +51,6 @@ __all__ = [
 PPT_NOTE = "PPT exact for 2x2 and 2x3, relaxation otherwise"
 # cycles between two progress records of the Dykstra search
 PROGRESS_EVERY = 100
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 _log = logging.getLogger(__name__)
 
@@ -82,9 +81,8 @@ def _pinching_witness(states, u):
         p = e @ dagger(e)
         projections.append(p)
         pair_states.append(np.kron(p, p))
-    witness = MeasurePrepareChannel(DiscretePOVM(tuple(projections)), projections)
-    broadcaster = MeasurePrepareChannel(DiscretePOVM(tuple(projections)), pair_states)
-    return witness, broadcaster
+    povm = DiscretePOVM(tuple(projections))
+    return MeasurePrepareChannel(povm, projections), MeasurePrepareChannel(povm, pair_states)
 
 
 def _koashi_imoto_note(states, u) -> str:
@@ -151,17 +149,15 @@ def check_states(states, tol: float = 1e-9, seed: int = 0,
 
 
 def broadcaster_from_commuting(states, tol: float = 1e-9, seed: int = 0) -> MeasurePrepareChannel:
-    """Broadcasting channel H -> H (x) H for a commuting state family.
+    """Broadcasting channel H -> H (x) H for a commuting state family: the
+    broadcaster of `check_states`, with its fix and marginal checks.
 
     Raises NotCommutingError (reporting the pair) on non-commuting input.
     """
-    rhos = [as_density(r) for r in states]
-    defect, pair = commutator_defect(rhos)
-    if defect > tol:
-        raise NotCommutingError(pair, defect)
-    u = simultaneous_diagonalize(rhos, tol=tol, seed=seed)
-    _, broadcaster = _pinching_witness(rhos, u)
-    return broadcaster
+    verdict = check_states(states, tol=tol, seed=seed)
+    if verdict.verdict == "confirming":
+        raise NotCommutingError(verdict.confirming_pair, verdict.commutator_norm)
+    return verdict.broadcaster
 
 
 # ---------------------------------------------------------------------------
@@ -277,41 +273,6 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
 # measurement-set feasibility (Dykstra alternating projections)
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and columns of the pairs k < l, in the order of `hermitian_basis(n)`."""
-    k, l = np.triu_indices(n, 1)
-    k.flags.writeable = l.flags.writeable = False
-    return k, l
-
-
-def _herm_coords(a, n: int) -> np.ndarray:
-    """Coordinates Re tr(h^dagger a) of `a` over `hermitian_basis(n)`, batched over
-    leading axes: the diagonal, then for each pair k < l the symmetric and the
-    antisymmetric element."""
-    k, l = _pair_indices(n)
-    a = np.asarray(a)
-    upper, lower = a[..., k, l], a[..., l, k]
-    pairs = np.stack([(upper.real + lower.real) * _SQRT_HALF,
-                      (lower.imag - upper.imag) * _SQRT_HALF], axis=-1)
-    diag = np.diagonal(a, axis1=-2, axis2=-1).real
-    return np.concatenate([diag, pairs.reshape(a.shape[:-2] + (-1,))], axis=-1)
-
-
-def _herm_from_coords(x, n: int) -> np.ndarray:
-    """Hermitian n x n matrices from coordinates over `hermitian_basis(n)`,
-    batched over leading axes."""
-    k, l = _pair_indices(n)
-    x = np.asarray(x)
-    out = np.zeros(x.shape[:-1] + (n, n), dtype=complex)
-    diag = np.arange(n)
-    out[..., diag, diag] = x[..., :n]
-    sym, anti = x[..., n::2] * _SQRT_HALF, x[..., n + 1::2] * _SQRT_HALF
-    out[..., k, l] = sym - 1j * anti
-    out[..., l, k] = sym + 1j * anti
-    return out
-
-
 def _real_form(a: np.ndarray) -> np.ndarray:
     """Re A + Im A, batched.  For Hermitian A the real part is symmetric and the
     imaginary part antisymmetric, so this is a Hilbert-Schmidt isometry from the
@@ -340,13 +301,13 @@ def _psd_part(z: np.ndarray) -> np.ndarray:
     return z - (neg * w[:k]) @ dagger(neg)
 
 
-def _constraint_rows(effects, picture: str, coords: bool = False) -> np.ndarray:
-    """Rows of the affine system over the Choi matrix, in real form, or with
-    `coords` in `hermitian_basis(d^2)` coordinates.
+def _constraint_rows(effects, picture: str) -> np.ndarray:
+    """Rows of the affine system over the real form of the Choi matrix J, one
+    block per constraint, row r of a block indexed by the element g_r of
+    `hermitian_basis(d)`.
 
-    Entry (r, i) of a constraint block is Re tr(g_r^dagger L(h_i)) =
-    Re tr(L*(g_r)^dagger h_i), so row r is the coordinate vector of L*(g_r), the
-    adjoint of the constraint map L applied to the output basis element g_r: one
+    The constraint reads Re tr(g_r L(J)) = Re tr(L*(g_r) J), so row r is the real
+    form of L*(g_r), the adjoint of the constraint map L applied to g_r: one
     batched image per constraint.  Trace preservation L(J) = tr_2 J has
     L*(g) = g (x) I; the Heisenberg condition L(J) = tr_2[J (I (x) E)]^T has
     L*(g) = g^T (x) E; the Schrodinger one L(J) = tr_1[J (E^T (x) I)] has
@@ -354,11 +315,11 @@ def _constraint_rows(effects, picture: str, coords: bool = False) -> np.ndarray:
     """
     d = effects[0].shape[0]
     n = d * d
-    out_basis = _herm_from_coords(np.eye(n), d)
+    out_basis = np.array(hermitian_basis(d))
 
     def block(left, right):
         images = np.einsum("...ab,...ij->...aibj", left, right).reshape(n, n, n)
-        return _herm_coords(images, n) if coords else _real_form(images).reshape(n, n * n)
+        return _real_form(images).reshape(n, n * n)
 
     blocks = [block(out_basis, np.eye(d))]
     for e in effects:
@@ -381,14 +342,12 @@ class FeasibilityProblem:
     condition) or by the Schrodinger action; the two coincide on the commuting
     instances decided here.
 
-    `affine_matrix` and `affine_rhs` are the affine system A x = b over the
-    coordinates x of J in `hermitian_basis(d^2)` (`choi_from_coords` maps
-    coordinates to J).  One SVD at set-up gives the orthonormal rows Q of the
-    row space (singular values above 1e-12 of the largest) and c = Q pinv(A) b:
-    the affine projection is x - Q^T (Q x - c) and the affine distance
-    ||Q x - c||.  The SVD is taken of the rows in real form (`_real_form`, an
-    orthogonal change of coordinates, so U and the singular values are those of
-    A), and Q acts on the real form of J: the affine step needs no index gather.
+    The affine system is A x = b over the real form x = Re J + Im J
+    (`_real_form`), with the rows of `_constraint_rows` and `affine_rhs`, the
+    values Re tr(g_r E) over `hermitian_basis(d)` of the identity and of each
+    effect.  One SVD at set-up gives the orthonormal rows Q of the row space
+    (singular values above 1e-12 of the largest) and c = Q pinv(A) b: the affine
+    projection is x - Q^T (Q x - c) and the affine distance ||Q x - c||.
     """
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
@@ -413,19 +372,15 @@ class FeasibilityProblem:
         self.stall_window = int(stall_window)
 
         real_rows = _constraint_rows(self.effects, picture)
-        self.affine_rhs = _herm_coords(np.stack((np.eye(d),) + self.effects), d).ravel()
+        targets = np.stack((np.eye(d),) + self.effects)
+        self.affine_rhs = np.einsum("rab,kba->kr", np.array(hermitian_basis(d)),
+                                    targets).real.ravel()
         u, s, vh = np.linalg.svd(real_rows, full_matrices=False)
         rank = int(np.count_nonzero(s > 1e-12 * s[0]))
         self._rows = vh[:rank]
         # the row space vanishes wherever every row does; clear the SVD's rounding there
         self._rows[:, ~real_rows.any(axis=0)] = 0.0
         self._rhs = (self.affine_rhs @ u[:, :rank]) / s[:rank]
-
-    @functools.cached_property
-    def affine_matrix(self) -> np.ndarray:
-        """A over `hermitian_basis(d^2)` coordinates, built on first use: the search
-        itself reads only the orthonormal rows Q."""
-        return _constraint_rows(self.effects, self.picture, coords=True)
 
     # projections of Hermitian d^2 x d^2 matrices, orthogonal in the Frobenius metric
     def _affine_gap(self, s: np.ndarray) -> np.ndarray:
@@ -459,7 +414,7 @@ class FeasibilityProblem:
 
     def choi_from_coords(self, x: np.ndarray) -> np.ndarray:
         """The Choi matrix with coordinates `x` over `hermitian_basis(d^2)`."""
-        return _herm_from_coords(x, self.dim ** 2)
+        return np.tensordot(x, hermitian_basis(self.dim ** 2), 1)
 
 
 @dataclass(frozen=True)
@@ -676,7 +631,7 @@ class ExtendedFunctional:
         self.n_samples = vals.shape[1]
         if any(e.shape != (self.dim, self.dim) for e in self.effects):
             raise OperatorError(f"effects must be {self.dim} x {self.dim}")
-        mat = _herm_coords(np.stack(self.effects), self.dim).T
+        mat = _real_form(np.stack(self.effects)).reshape(len(self.effects), -1).T
         self._expand_matrix = mat
         self._expand_pinv = np.linalg.pinv(mat, rcond=1e-12)
         self._validate()
@@ -741,7 +696,7 @@ class ExtendedFunctional:
     def _expand(self, a) -> tuple[np.ndarray, float]:
         if np.shape(a) != (self.dim, self.dim):
             raise OperatorError(f"operator must be {self.dim} x {self.dim}, got {np.shape(a)}")
-        target = _herm_coords(a, self.dim)
+        target = _real_form(np.asarray(a)).ravel()
         coeffs = self._expand_pinv @ target
         resid = float(np.linalg.norm(self._expand_matrix @ coeffs - target))
         return coeffs, resid

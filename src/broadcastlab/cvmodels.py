@@ -84,12 +84,10 @@ class TruncatedChannel:
 
     Trace-non-increasing by construction; the worst trace loss over basis
     states is recorded in `trace_defect_bound`.  Complete positivity is
-    checked on the grading blocks of the Choi matrix unless `validate_cp` is
-    False.
+    checked on the grading blocks of the Choi matrix.
     """
 
-    def __init__(self, action: np.ndarray, levels: int, validate_cp: bool = True,
-                 cp_tol: float = 1e-10):
+    def __init__(self, action: np.ndarray, levels: int, cp_tol: float = 1e-10):
         n = levels
         if action.shape != (2 * n - 1, n, n):
             raise OperatorError(f"sector action shape {action.shape} does not match {n} levels")
@@ -105,10 +103,9 @@ class TruncatedChannel:
         # transposed block along contiguous rows adds in the order np.trace uses
         traces = np.ascontiguousarray(self.action[n - 1].T).sum(axis=1)
         self.trace_defect_bound = float(np.max(1.0 - np.real(traces)))
-        if validate_cp:
-            w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
-            if w.min() < -cp_tol * max(1.0, w.max()):
-                raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
+        w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
+        if w.min() < -cp_tol * max(1.0, w.max()):
+            raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
 
     def _to_sectors(self, t) -> np.ndarray:
         """Gather vec(t) into sector columns of shape (2n-1, n, 1), zero-padded."""
@@ -209,7 +206,7 @@ def qchannel_element_quadrature(m: int, n: int, j: int, k: int,
     return float(np.real(angular) / np.pi * radial * np.exp(lognorm))
 
 
-def qchannel_build(trunc: FockTruncation, validate_cp: bool = True) -> TruncatedChannel:
+def qchannel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Coherent-state smoothing channel restricted to the truncation window.
 
     Entries follow `qchannel_element` term by term, from a log-factorial table."""
@@ -222,7 +219,7 @@ def qchannel_build(trunc: FockTruncation, validate_cp: bool = True) -> Truncated
               - 0.5 * (lg[m] + lg[nn] + lg[j] + lg[k]))
     action = np.zeros((2 * n - 1, n, n), dtype=complex)
     action[s, p, q] = np.exp(logval)
-    return TruncatedChannel(action, n, validate_cp=validate_cp)
+    return TruncatedChannel(action, n)
 
 
 def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,

@@ -465,12 +465,11 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
     return decomposition
 
 
-def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0,
-                      include_algebra: bool = True) -> dict:
+def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0) -> dict:
     """JSON-ready fixed-point report: basis dimension, singular-value ladder,
     product-table residuals, and atoms with the tolerances that produced them."""
     algebra = None
-    if include_algebra and isinstance(channel, MeasurePrepareChannel):
+    if isinstance(channel, MeasurePrepareChannel):
         algebra = BroadcastingAlgebra(channel, tol=tol)
     space = algebra.space if algebra is not None else fixed_space(channel, tol=tol)
     report = {

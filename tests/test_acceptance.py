@@ -197,7 +197,7 @@ def test_criterion_6_qchannel_example_shadow():
                                            - qchannel_element_quadrature(m, n, j, k)))
     assert worst <= 1e-8
 
-    channel = qchannel_build(FockTruncation(24), validate_cp=True)
+    channel = qchannel_build(FockTruncation(24))
     vac = np.zeros((24, 24), dtype=complex)
     vac[0, 0] = 1.0
     diag = np.real(np.diag(channel.apply(vac)))

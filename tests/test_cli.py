@@ -144,6 +144,11 @@ _PINCH_2 = [operator_to_json(np.diag([1.0, 0.0])), operator_to_json(np.diag([0.0
     ("approx-check", {"effects": _PINCH_2, "epsilon": 10 ** 400,
                       "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
                                   "povm": _PINCH_2, "states": _PINCH_2}}),
+    # a field of the other effects document is an unknown field
+    ("check-meas", {"effects": _PINCH_2, "channel": "anything", "epsilon": 5}),
+    ("approx-check", {"effects": _PINCH_2, "epsilon": 0.1, "picture": "heisenberg",
+                      "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                                  "povm": _PINCH_2, "states": _PINCH_2}}),
 ])
 def test_field_of_wrong_json_type_exits_2(tmp_path, subcommand, doc):
     assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2

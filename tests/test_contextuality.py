@@ -185,9 +185,8 @@ def test_feasibility_qubit_pvm_feasible_and_cross_checked():
     # cross-check: the pvm_embed witness satisfies the same constraints
     emb = pvm_embed([0, 1], [KET0, KET1], [{0}, {1}])
     j = choi_transform(emb.channel).matrix
-    from broadcastlab.contextuality import _herm_coords
-    coords = _herm_coords(j, 4)
-    assert np.linalg.norm(problem.affine_matrix @ coords - problem.affine_rhs) <= 1e-10
+    assert problem.residuals(j)["affine"] <= 1e-10
+    assert np.linalg.norm(j - problem.project_affine(j)) <= 1e-10
     assert np.linalg.norm(j - problem.project_psd(j)) <= 1e-10
     assert np.linalg.norm(j - problem.project_ppt(j)) <= 1e-10
 

@@ -1,5 +1,5 @@
 """The Dykstra feasibility search on the Choi matrix, each piece checked against
-a reference built here from `hermitian_basis`, `partial_trace` and the
+a reference built here from `hermitian_basis`, partial traces and the
 pseudo-inverse of the affine rows."""
 
 import logging
@@ -14,16 +14,15 @@ from families import commuting_pair, random_density, random_unitary, rotated_mub
 
 from broadcastlab.contextuality import (
     FeasibilityProblem,
-    _herm_coords,
-    _herm_from_coords,
+    _constraint_rows,
+    _herm_from_real_form,
+    _real_form,
     check_measurements_feasibility,
     extend_effect_functional,
 )
 from broadcastlab.operators import (
     OperatorError,
     hermitian_basis,
-    hs_inner,
-    partial_trace,
     partial_transpose,
 )
 
@@ -34,58 +33,32 @@ MINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
 
 
 def _basis_coords(a, n):
-    return np.array([np.real(hs_inner(h, a)) for h in hermitian_basis(n)])
-
-
-def _basis_matrix(x, n):
-    return sum(c * h for c, h in zip(x, hermitian_basis(n)))
+    """Re tr(h^dagger a) for each h in hermitian_basis(n), batched over leading axes."""
+    return np.einsum("rab,...ab->...r", np.conj(hermitian_basis(n)), a).real
 
 
 def _random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-# -- coordinate maps ---------------------------------------------------------
+# -- the real form -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coordinates_match_basis_inner_products(n):
+    """The affine rows act on the real form Re A + Im A: its dot products with the
+    real forms of hermitian_basis(n) are the coordinates Re tr(h^dagger a) of a
+    Hermitian a, and `_herm_from_real_form` inverts it."""
     rng = np.random.default_rng(100 + n)
-    a = _random_complex(rng, n, n)  # not Hermitian: Re tr(h^dagger a) all the same
-    assert np.allclose(_herm_coords(a, n), _basis_coords(a, n), atol=1e-14, rtol=0)
+    a = _random_complex(rng, n, n)
     h = a + a.conj().T
-    assert np.allclose(_herm_coords(h, n), _basis_coords(h, n), atol=1e-14, rtol=0)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_matrix_from_coordinates_matches_basis_sum(n):
-    rng = np.random.default_rng(110 + n)
-    x = rng.standard_normal(n * n)
-    m = _herm_from_coords(x, n)
-    assert np.allclose(m, _basis_matrix(x, n), atol=1e-14, rtol=0)
-    assert np.allclose(_herm_coords(m, n), x, atol=1e-14, rtol=0)
-    h = _random_complex(rng, n, n)
-    h = h + h.conj().T
-    assert np.allclose(_herm_from_coords(_herm_coords(h, n), n), h, atol=1e-14, rtol=0)
-
-
-def test_coordinate_maps_batch_over_leading_axes():
-    rng = np.random.default_rng(120)
-    a = _random_complex(rng, 2, 3, 4, 4)
-    coords = _herm_coords(a, 4)
-    assert coords.shape == (2, 3, 16)
-    for i in range(2):
-        for j in range(3):
-            assert np.allclose(coords[i, j], _basis_coords(a[i, j], 4), atol=1e-14, rtol=0)
-    x = rng.standard_normal((5, 9))
-    mats = _herm_from_coords(x, 3)
-    assert mats.shape == (5, 3, 3)
-    for i in range(5):
-        assert np.allclose(mats[i], _basis_matrix(x[i], 3), atol=1e-14, rtol=0)
+    basis = _real_form(np.array(hermitian_basis(n))).reshape(n * n, n * n)
+    assert np.allclose(basis @ _real_form(h).ravel(), _basis_coords(h, n), atol=1e-14, rtol=0)
+    assert np.allclose(_herm_from_real_form(_real_form(h)), h, atol=1e-14, rtol=0)
 
 
 def test_functional_extension_rejects_operators_of_another_size():
-    # the index maps would read the leading block of a larger operator
+    # the real form of a larger operator would not match the expansion matrix
     with pytest.raises(OperatorError):
         extend_effect_functional([np.eye(3)], [[1.0]], dim=2)
     fun = extend_effect_functional([KET0, KET1], [[1.0], [0.0]], dim=2)
@@ -97,20 +70,35 @@ def test_functional_extension_rejects_operators_of_another_size():
 
 
 def _reference_affine(effects, picture):
-    """The affine rows and right-hand side from a loop over hermitian_basis(d^2)."""
+    """The affine rows over hermitian_basis(d^2) coordinates and the right-hand
+    side: column i holds the coordinates of the constraint images of the i-th
+    basis element, computed for all elements at once."""
     d = effects[0].shape[0]
     eye = np.eye(d)
-    columns = []
-    for h in hermitian_basis(d * d):
-        images = [partial_trace(h, (d, d), side=2)]
-        for e in effects:
-            if picture == "heisenberg":
-                images.append(partial_trace(h @ np.kron(eye, e), (d, d), side=2).T)
-            else:
-                images.append(partial_trace(h @ np.kron(e.T, eye), (d, d), side=1))
-        columns.append(np.concatenate([_basis_coords(img, d) for img in images]))
-    rhs = np.concatenate([_basis_coords(t, d) for t in [eye] + list(effects)])
-    return np.stack(columns, axis=1), rhs
+    h = np.array(hermitian_basis(d * d))
+
+    def ptrace(a, side):
+        """Partial trace of a stack of d^2 x d^2 matrices over factor `side`."""
+        t = a.reshape(-1, d, d, d, d)
+        return np.einsum("xijkj->xik", t) if side == 2 else np.einsum("xijik->xjk", t)
+
+    images = [ptrace(h, 2)]
+    for e in effects:
+        if picture == "heisenberg":
+            images.append(ptrace(h @ np.kron(eye, e), 2).transpose(0, 2, 1))
+        else:
+            images.append(ptrace(h @ np.kron(e.T, eye), 1))
+    columns = _basis_coords(np.stack(images, axis=1), d).reshape(len(h), -1)
+    rhs = _basis_coords(np.stack([eye] + list(effects)), d).ravel()
+    return columns.T, rhs
+
+
+def _coordinate_rows(problem):
+    """The problem's affine rows over hermitian_basis(d^2) coordinates: the value
+    of each row on the real form of each basis element."""
+    n = problem.dim ** 2
+    basis = _real_form(np.array(hermitian_basis(n))).reshape(n * n, n * n)
+    return _constraint_rows(problem.effects, problem.picture) @ basis.T
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
@@ -120,8 +108,9 @@ def test_affine_system_matches_basis_loop(d, picture):
     effects = [random_density(d, rng) for _ in range(3)]
     problem = FeasibilityProblem(effects, picture=picture)
     a, b = _reference_affine(problem.effects, picture)
-    assert problem.affine_matrix.shape == a.shape
-    assert np.max(np.abs(problem.affine_matrix - a)) <= 1e-13
+    rows = _coordinate_rows(problem)
+    assert rows.shape == a.shape
+    assert np.max(np.abs(rows - a)) <= 1e-13
     assert np.max(np.abs(problem.affine_rhs - b)) <= 1e-13
 
 
@@ -131,16 +120,15 @@ def test_affine_system_matches_basis_loop(d, picture):
 MUB_RANKS = {"heisenberg": (12, 45, 112, 225), "schrodinger": (13, 49, 121, 241)}
 
 
-def _check_affine_against_pinv(problem, rng):
+def _check_affine_against_pinv(problem, a, b, rng):
     """project_affine and the affine residual against x - pinv(A) (A x - b)."""
     n = problem.dim ** 2
-    a, b = problem.affine_matrix, problem.affine_rhs
     pinv = np.linalg.pinv(a, rcond=1e-12)
     for _ in range(3):
         x = rng.standard_normal(n * n)
         step = pinv @ (a @ x - b)
         j = problem.choi_from_coords(x)
-        out = _herm_coords(problem.project_affine(j), n)
+        out = _basis_coords(problem.project_affine(j), n)
         assert np.max(np.abs(out - (x - step))) <= 1e-12
         assert problem.residuals(j)["affine"] == pytest.approx(np.linalg.norm(step), abs=1e-12)
 
@@ -150,15 +138,17 @@ def _check_affine_against_pinv(problem, rng):
 def test_affine_step_matches_pseudo_inverse(d, picture):
     rng = np.random.default_rng(160 + d)
     problem = FeasibilityProblem(rotated_mub_effects(d, rng), picture=picture)
-    assert problem.affine_matrix.shape == (d * d * (2 * d + 1), d ** 4)
-    assert np.linalg.matrix_rank(problem.affine_matrix) == MUB_RANKS[picture][d - 2]
-    _check_affine_against_pinv(problem, rng)
+    a, b = _reference_affine(problem.effects, picture)
+    assert a.shape == (d * d * (2 * d + 1), d ** 4)
+    assert np.linalg.matrix_rank(a) == MUB_RANKS[picture][d - 2]
+    _check_affine_against_pinv(problem, a, b, rng)
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
 def test_one_dimensional_effect_feasible_at_cycle_zero(picture):
     problem = FeasibilityProblem([[[0.5]]], picture=picture)
-    _check_affine_against_pinv(problem, np.random.default_rng(170))
+    a, b = _reference_affine(problem.effects, picture)
+    _check_affine_against_pinv(problem, a, b, np.random.default_rng(170))
     verdict = check_measurements_feasibility(problem)
     assert verdict.status == "feasible"
     assert verdict.cycles == 0
@@ -218,8 +208,9 @@ def test_projections_are_nonexpansive_idempotent_and_land_in_their_sets(case):
     assert np.linalg.eigvalsh(problem.project_psd(x)).min() >= -1e-12
     ppt = partial_transpose(problem.project_ppt(x), (d, d), side=1)
     assert np.linalg.eigvalsh(ppt).min() >= -1e-12
-    coords = _herm_coords(problem.project_affine(x), d * d)
-    assert np.max(np.abs(problem.affine_matrix @ coords - problem.affine_rhs)) <= 1e-12
+    a, b = _reference_affine(problem.effects, problem.picture)
+    coords = _basis_coords(problem.project_affine(x), d * d)
+    assert np.max(np.abs(a @ coords - b)) <= 1e-12
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])

@@ -148,12 +148,16 @@ def dumps_report(report: dict) -> str:
     and `TypeError` on values JSON cannot hold.  With `indent` the stdlib
     falls back to its pure-Python encoder, so this one is specialised: each
     list of `[re, im]` float pairs (the operator entries, nearly all of a
-    report) is formatted by one `%` over a template of fixed layout."""
+    report) is formatted by one `%` over a template of fixed layout, and
+    `float.__repr__` runs once per distinct value of the list, since the
+    swap-symmetric, Hermitian broadcaster states repeat most of theirs."""
     return _encode(report, 0) + "\n"
 
 
 _ascii = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+_FLOAT_TYPES = frozenset({float, np.float64})
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 def _float(x) -> str:
@@ -177,15 +181,21 @@ def _key(key) -> str:
 
 def _pair_list(items, depth: int) -> str | None:
     """`items` at indent level `depth` if it is a list of finite [re, im]
-    float pairs, else None (the general path then encodes it, or raises)."""
+    float pairs, else None (the general path then encodes it, or raises).
+
+    Each distinct value is formatted once.  The table is keyed by value, where
+    0.0 == -0.0 although their reprs differ, so zeros are formatted one by one."""
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
-    try:
-        reprs = tuple(map(float.__repr__, itertools.chain.from_iterable(items)))
-    except TypeError:  # an int, bool or anything else that is not a float
+    values = list(itertools.chain.from_iterable(items))
+    # ints and bools would share table entries with equal floats
+    if not _FLOAT_TYPES.issuperset(map(type, values)):
         return None
-    if "nan" in reprs or "inf" in reprs or "-inf" in reprs:
+    distinct = dict.fromkeys(values)
+    table = dict(zip(distinct, map(float.__repr__, distinct)))
+    if not _NON_FINITE.isdisjoint(table.values()):
         return None
+    reprs = tuple([table[x] if x else float.__repr__(x) for x in values])
     outer = "\n" + "  " * depth
     inner = outer + "  "
     number = inner + "  "

@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from families import random_density, random_unitary
+from families import random_density, random_hermitian, random_unitary
 
 from broadcastlab.channels import swap_unitary
 from broadcastlab.operators import (
@@ -84,6 +86,61 @@ def test_hermitian_symmetrization_tolerates_drift():
     a[0, 1] = 1e-14
     h = as_hermitian(a)
     np.testing.assert_allclose(h, dagger(h))
+
+
+def test_exactly_hermitian_input_takes_no_norm(monkeypatch):
+    def no_norm(a):
+        raise AssertionError("op_norm called")
+
+    a = random_hermitian(64, np.random.default_rng(7))
+    with pytest.raises(OperatorError):  # a negative tolerance still accepts nothing
+        as_hermitian(a, tol=-1.0)
+    monkeypatch.setattr("broadcastlab.operators.op_norm", no_norm)
+    h = as_hermitian(a)
+    np.testing.assert_array_equal(h, a)
+    assert not np.shares_memory(h, a)
+    np.testing.assert_array_equal(as_hermitian(np.diag([1, -2])), np.diag([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+@pytest.mark.parametrize("norm", [0.25, 3.0])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_anti_hermitian_part_against_tolerance(tol, norm, factor, caplog):
+    """A + c K, K anti-Hermitian with ||K|| = 1, c = factor * tol * max(1, ||A||):
+    accepted with a DEBUG record at half the bound, rejected at twice it."""
+    rng = np.random.default_rng(8)
+    h = random_hermitian(8, rng)
+    h *= norm / op_norm(h)
+    k = 1j * random_hermitian(8, rng)
+    k /= op_norm(k)
+    a = h + factor * tol * max(1.0, norm) * k
+    if factor > 1:
+        with pytest.raises(OperatorError, match="not Hermitian"):
+            as_hermitian(a, tol=tol)
+        return
+    with caplog.at_level(logging.DEBUG, logger="broadcastlab.operators"):
+        got = as_hermitian(a, tol=tol)
+    np.testing.assert_array_equal(got, 0.5 * (a + dagger(a)))
+    assert any("absorbed residual" in r.getMessage() for r in caplog.records)
+
+
+_RNG = np.random.default_rng(9)
+
+
+@pytest.mark.parametrize("a", [
+    _RNG.standard_normal((5, 5)) + 1j * _RNG.standard_normal((5, 5)),
+    _RNG.standard_normal((4, 4)),
+    np.arange(12).reshape(3, 4) - 5,
+    np.array([[-2.5]]),
+    np.array([[3 - 4j]]),
+    _RNG.standard_normal((3, 7)) * (1 + 2j),
+    _RNG.standard_normal((7, 2)),
+    np.zeros((3, 3)),
+], ids=["complex", "real", "integer", "1x1", "1x1-complex", "3x7", "7x2", "zero"])
+def test_op_norm_equals_numpy_spectral_norm(a):
+    got = op_norm(a)
+    assert type(got) is float
+    assert got == float(np.linalg.norm(a, 2))
 
 
 def test_partial_trace_product_rule():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from families import random_density
+from families import random_density, random_eb_channel, random_unitary
 
-from broadcastlab.channels import MeasurePrepareChannel
+from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, choi_transform
 from broadcastlab.operators import DiscretePOVM
 from broadcastlab.serialization import (
     SchemaError,
@@ -182,6 +182,27 @@ def test_dumps_report_matches_json_dumps(report):
     _assert_encodes_like_json(report)
 
 
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310)
+
+
+@st.composite
+def _repeating_pairs(draw):
+    """Pairs from a pool of a few magnitudes with both signs, signed zeros and
+    subnormals, as Python or numpy floats: most values repeat, as in a
+    broadcaster's kron(p, p) entries."""
+    magnitudes = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                               | st.floats(-1e-307, 1e-307), min_size=1, max_size=3))
+    pool = st.sampled_from(sorted({*magnitudes, *(-x for x in magnitudes)}) + list(_EDGE_VALUES))
+    value = pool | pool.map(np.float64)
+    return draw(st.lists(st.lists(value, min_size=2, max_size=2), max_size=64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_repeating_pairs())
+def test_dumps_report_matches_json_dumps_on_repeating_pairs(pairs):
+    _assert_encodes_like_json({"entries": pairs, "nested": [{"entries": pairs}]})
+
+
 @pytest.mark.parametrize("report", [
     {"x": -0.0, "tiny": 5e-324, "big": 1e308, "neg": -1e308},
     {"np": np.float64(0.1), "np_pairs": [[np.float64(1 / 3), np.float64(-0.0)]]},
@@ -195,15 +216,23 @@ def test_dumps_report_matches_json_dumps(report):
     [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]],
     "top-level string",
     7,
+    # pair lists whose values repeat, each formatted once
+    {"entries": [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0], [0.5, -0.0]]},
+    {"entries": [[-0.0, 0.0], [0.0, -0.0]], "first": [[-0.0, 1.0], [1.0, 0.0]]},
+    {"entries": [[0.1, -0.1], [-0.1, 0.1], [1e-310, -1e-310], [-1e-310, 1e-310]]},
+    {"entries": [[1 / 3, 1 / 3] for _ in range(500)]},
+    {"entries": [[0.5, np.float64(0.5)], [np.float64(-0.0), 0.0], [np.float64(0.1), -0.1]]},
+    {"entries": [[0.5, 1.0], [1, 0.5]], "bools": [[1.0, 0.0], [True, False]]},
 ])
 def test_dumps_report_explicit_cases(report):
     _assert_encodes_like_json(report)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
-@pytest.mark.parametrize("where", ["value", "pair", "key"])
+@pytest.mark.parametrize("where", ["value", "pair", "pair-twice", "key"])
 def test_dumps_report_rejects_non_finite_floats(bad, where):
     report = {"value": {"x": bad}, "pair": {"entries": [[0.5, 0.0], [0.25, bad]]},
+              "pair-twice": {"entries": [[bad, 0.5], [0.5, np.float64(bad)], [bad, bad]]},
               "key": {bad: 1}}[where]
     with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
         dumps_report(report)
@@ -218,3 +247,60 @@ def test_dumps_report_rejects_what_json_cannot_hold(report):
     with pytest.raises(TypeError):
         dumps_report(report)
     _assert_encodes_like_json(report)
+
+
+_ENTRY = (st.floats(allow_nan=False, allow_infinity=False) | st.floats(-1e-307, 1e-307)
+          | st.sampled_from(_EDGE_VALUES))
+
+
+@st.composite
+def _matrices(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    parts = [np.array(draw(st.lists(_ENTRY, min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))).reshape(shape)
+             for _ in range(2)]
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = parts  # keeps signed zeros that re + 1j * im would lose
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+@example(np.array([[-0.0 - 0.0j, 5e-324 - 0.0j], [-5e-324 + 0.0j, 1e308 - 1e-310j]]))
+def test_operator_json_roundtrip_is_bit_exact(m):
+    back = operator_from_json(json.loads(dumps_report(operator_to_json(m))))
+    assert back.shape == m.shape
+    assert back.tobytes() == m.tobytes()
+
+
+def _kraus_channel(d_in, d_out, n_ops, rng):
+    """Kraus operators cut from the first d_in columns of a random unitary."""
+    u = random_unitary(d_out * n_ops, rng)[:, :d_in]
+    return KrausChannel([u[k * d_out:(k + 1) * d_out] for k in range(n_ops)])
+
+
+def _channel_arrays(ch):
+    if ch.kind == "kraus":
+        return list(ch.kraus_ops)
+    if ch.kind == "choi":
+        return [ch.matrix]
+    return [*ch.povm.effects, *ch.states]
+
+
+@pytest.mark.parametrize("build", [
+    lambda rng: _kraus_channel(2, 3, 3, rng),
+    lambda rng: choi_transform(_kraus_channel(3, 2, 2, rng)),
+    lambda rng: random_eb_channel(3, rng, "generic"),
+    lambda rng: random_eb_channel(4, rng, "pinching"),
+], ids=["kraus", "choi", "measure-prepare", "pinching"])
+def test_channel_json_roundtrip_through_dumps_report(build):
+    ch = build(np.random.default_rng(90))
+    back = channel_from_json(json.loads(dumps_report(channel_to_json(ch))))
+    assert type(back) is type(ch)
+    assert (back.d_in, back.d_out) == (ch.d_in, ch.d_out)
+    if ch.kind == "measure_prepare":
+        assert back.povm.labels == ch.povm.labels
+    want, got = _channel_arrays(ch), _channel_arrays(back)
+    assert len(got) == len(want)
+    for a, b in zip(want, got):
+        np.testing.assert_array_equal(b, a)

@@ -40,13 +40,13 @@ from .operators import OperatorError, as_density, as_effect
 from .serialization import (
     SchemaError,
     _expect_keys,
-    _list_field,
+    _number_field,
     channel_from_json,
     channel_to_json,
     dumps_report,
     load_json_file,
-    operator_from_json,
     operator_to_json,
+    operators_field,
 )
 
 EXIT_OK = 0
@@ -114,31 +114,14 @@ def _config_dict(args) -> dict:
     }
 
 
-def _load_states(path):
-    doc = load_json_file(path)
-    _expect_keys(doc, ("states",))
-    mats = [operator_from_json(s, f"$.states[{i}]")
-            for i, s in enumerate(_list_field(doc, "states"))]
-    try:
-        return [as_density(m) for m in mats]
-    except OperatorError as exc:
-        raise SchemaError(f"$.states: {exc}") from exc
-
-
-def _load_effects(path, required, optional=()):
+def _load_operators(path, key, validate, required, optional=()):
     doc = load_json_file(path)
     _expect_keys(doc, required, optional)
-    mats = [operator_from_json(e, f"$.effects[{i}]")
-            for i, e in enumerate(_list_field(doc, "effects"))]
-    try:
-        effects = [as_effect(m) for m in mats]
-    except OperatorError as exc:
-        raise SchemaError(f"$.effects: {exc}") from exc
-    return effects, doc
+    return operators_field(doc, key, validate), doc
 
 
 def _run_check_states(args) -> dict:
-    states = _load_states(args.input)
+    states, _ = _load_operators(args.input, "states", as_density, ("states",))
     verdict = check_states(states, tol=args.tol, seed=args.seed)
     residuals = [r for r in (verdict.max_fix_residual, verdict.max_marginal_residual)
                  if r is not None]
@@ -154,7 +137,7 @@ def _run_check_states(args) -> dict:
 
 
 def _run_check_meas(args) -> dict:
-    effects, doc = _load_effects(args.input, ("effects",), ("picture",))
+    effects, doc = _load_operators(args.input, "effects", as_effect, ("effects",), ("picture",))
     picture = doc.get("picture", "heisenberg")
     problem = FeasibilityProblem(effects, picture=picture, budget=args.budget, tol=args.tol)
     verdict = check_measurements_feasibility(problem)
@@ -186,9 +169,7 @@ def _run_pvm_embed(args) -> dict:
         raise SchemaError("$.labels: expected a list of strings or numbers")
     if not (isinstance(doc["subsets"], list) and all(map(label_list, doc["subsets"]))):
         raise SchemaError("$.subsets: expected a list of label lists")
-    projections = [operator_from_json(p, f"$.projections[{i}]")
-                   for i, p in enumerate(_list_field(doc, "projections"))]
-    embedding = pvm_embed(doc["labels"], projections,
+    embedding = pvm_embed(doc["labels"], operators_field(doc, "projections"),
                           [set(s) for s in doc["subsets"]], tol=args.tol)
     return {
         "verdict": "embedded",
@@ -206,14 +187,9 @@ def _run_pvm_embed(args) -> dict:
 
 
 def _run_approx_check(args) -> dict:
-    effects, doc = _load_effects(args.input, ("effects", "channel", "epsilon"))
-    epsilon = doc["epsilon"]
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise SchemaError(f"$.epsilon: expected a number, got {type(epsilon).__name__}")
-    try:
-        epsilon = float(epsilon)
-    except OverflowError:
-        raise SchemaError("$.epsilon: number too large for a float") from None
+    effects, doc = _load_operators(args.input, "effects", as_effect,
+                                   ("effects", "channel", "epsilon"))
+    epsilon = _number_field(doc["epsilon"], "$.epsilon")
     channel = channel_from_json(doc["channel"], "$.channel")
     result: ApproxCheckResult = approx_check(effects, channel, epsilon)
     return {

@@ -55,13 +55,6 @@ class FixedPointSpace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, a, tol: float | None = None) -> bool:
-        a = as_complex_matrix(a)
-        coeffs = [hs_inner(b, a) for b in self.basis]
-        proj = sum(c * b for c, b in zip(coeffs, self.basis))
-        resid = frob_norm(a - proj)
-        return resid <= (tol if tol is not None else 1e-8) * max(1.0, frob_norm(a))
-
 
 def _heisenberg_matrix(channel, cap: int | None = None) -> np.ndarray:
     """The d^2 x d^2 Heisenberg matrix L of a square channel, built after the cap check."""
@@ -167,27 +160,19 @@ class CesaroResult:
 
 def cesaro_apply(channel, a, n_terms: int = 1000, early_stop_tol: float = 1e-12,
                  picture: str = "heisenberg") -> CesaroResult:
-    """Truncated Cesaro average (1/n) sum_{k<n} Lambda^k(a).
+    """Truncated Cesaro average (1/n) sum_{k<n} Lambda^k(a), built by doubling.
 
-    Stops at the first n where successive averages differ by at most
-    `early_stop_tol` in Frobenius norm; non-convergence within `n_terms`
-    is reported through the residual, not raised.
+    The residual is the Frobenius distance between the averages of n and n - 1
+    terms (infinite at n = 1), and `converged` says whether it is at most
+    `early_stop_tol`; non-convergence is reported, not raised.
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     x = as_complex_matrix(a)
-    total = x.copy()
-    avg = total.copy()
-    residual = np.inf
-    for n in range(2, n_terms + 1):
-        x = apply(channel, x, picture)
-        total += x
-        new_avg = total / n
-        residual = frob_norm(new_avg - avg)
-        avg = new_avg
-        if residual <= early_stop_tol:
-            return CesaroResult(avg, n, residual, True)
-    return CesaroResult(avg, n_terms, float(residual), residual <= early_stop_tol)
+    means = _cesaro_means(channel_matrix(channel, picture), vec(x), {n_terms, max(n_terms - 1, 1)})
+    residual = frob_norm(means[n_terms] - means[n_terms - 1]) if n_terms > 1 else np.inf
+    return CesaroResult(unvec(means[n_terms], x.shape[0]), n_terms, residual,
+                        residual <= early_stop_tol)
 
 
 def _cesaro_means(mat, x, marks) -> dict:
@@ -282,13 +267,6 @@ class BroadcastingAlgebra:
                 f"broadcasting algebra validation failed: worst residual {worst:.3e}"
             )
 
-    def _raw_product(self, a, b) -> np.ndarray:
-        """psi_0(Phi*(a (x) b)) without membership checks."""
-        phi = np.zeros((self.d, self.d), dtype=complex)
-        for g, s in zip(self.channel.povm.effects, self.channel.states):
-            phi += np.trace(s @ a) * np.trace(s @ b) * g
-        return self.project(phi)
-
     def project(self, a) -> np.ndarray:
         """Apply psi_0."""
         return unvec(self.projector @ vec(as_complex_matrix(a)), self.d)
@@ -305,7 +283,8 @@ class BroadcastingAlgebra:
         return sum(c * b for c, b in zip(coeffs, self.space.basis))
 
     def product(self, a, b, membership_tol: float = 1e-8) -> np.ndarray:
-        """A * B = psi_0(Phi*(A (x) B)) for fixed-point operands."""
+        """A * B = psi_0(Phi*(A (x) B)) for fixed-point operands, through the
+        product table on the coefficients of psi_0(A) and psi_0(B)."""
         for name, x in (("left", a), ("right", b)):
             x = as_complex_matrix(x)
             resid = frob_norm(self.project(x) - x)
@@ -314,7 +293,8 @@ class BroadcastingAlgebra:
                     f"{name} operand lies outside the fixed-point space "
                     f"(projection residual {resid:.3e})"
                 )
-        return self._raw_product(self.project(a), self.project(b))
+        ca, cb = ([hs_inner(bk, p) for bk in self.space.basis] for p in map(self.project, (a, b)))
+        return self.from_coefficients(self.coefficients_product(ca, cb))
 
 
 def broadcasting_product(algebra: BroadcastingAlgebra, a, b) -> np.ndarray:
@@ -345,11 +325,6 @@ class AtomicDecomposition:
     def rebuilt_channel(self) -> MeasurePrepareChannel:
         """Measure-prepare channel psi_n(A) = sum_i tr(sigma_i A) G_i."""
         return MeasurePrepareChannel(self.povm, self.states)
-
-    def reconstruct(self, a) -> np.ndarray:
-        """sum_i tr(sigma_i A) G_i."""
-        a = as_complex_matrix(a)
-        return sum(np.trace(s @ a) * g for g, s in zip(self.povm.effects, self.states))
 
 
 def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
@@ -459,8 +434,9 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
     pairing = np.array([[np.real(np.trace(s @ g)) for g in atoms] for s in states])
     if np.max(np.abs(pairing - np.eye(m))) > 10 * tol:
         raise FixedPointError("dual states do not pair with the atoms as delta_ij")
+    psi_n = decomposition.rebuilt_channel()
     for b in basis:
-        if frob_norm(decomposition.reconstruct(b) - b) > 10 * tol:
+        if frob_norm(psi_n.apply_heisenberg(b) - b) > 10 * tol:
             raise FixedPointError("atomic reconstruction fails on a basis element")
     return decomposition
 

@@ -21,6 +21,7 @@ __all__ = [
     "operator_from_json",
     "channel_to_json",
     "channel_from_json",
+    "operators_field",
     "dumps_report",
     "load_json_file",
     "io_roundtrip",
@@ -51,6 +52,36 @@ def _list_field(obj, key, path="$") -> list:
     return value
 
 
+def _positive_ints(obj, keys, path="$"):
+    """Reject obj[k] for k in `keys` unless each is a positive integer."""
+    if not all(type(obj[k]) is int and obj[k] >= 1 for k in keys):  # JSON true/false are not sizes
+        raise SchemaError(f"{path}.{'/'.join(keys)}: need positive integers")
+
+
+def _number_field(value, path="$") -> float:
+    """A JSON number as a float; JSON true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: number too large for a float") from None
+
+
+def operators_field(obj, key, validate=None, path="$") -> list:
+    """The operators listed at obj[key], element i read at `{path}.{key}[i]`.  `validate`,
+    if given, maps each one (`as_density`, `as_effect`), and an `OperatorError` it
+    raises becomes a `SchemaError` at `{path}.{key}`."""
+    mats = [operator_from_json(m, f"{path}.{key}[{i}]")
+            for i, m in enumerate(_list_field(obj, key, path))]
+    if validate is None:
+        return mats
+    try:
+        return [validate(m) for m in mats]
+    except OperatorError as exc:
+        raise SchemaError(f"{path}.{key}: {exc}") from exc
+
+
 def operator_to_json(matrix) -> dict:
     m = as_complex_matrix(matrix)
     return {
@@ -62,9 +93,8 @@ def operator_to_json(matrix) -> dict:
 
 def operator_from_json(obj, path="$") -> np.ndarray:
     _expect_keys(obj, ("dim_row", "dim_col", "entries"), path=path)
+    _positive_ints(obj, ("dim_row", "dim_col"), path)
     rows, cols = obj["dim_row"], obj["dim_col"]
-    if not all(type(v) is int and v >= 1 for v in (rows, cols)):  # JSON true/false are not sizes
-        raise SchemaError(f"{path}.dim_row/dim_col: need positive integers")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise SchemaError(
@@ -74,13 +104,8 @@ def operator_from_json(obj, path="$") -> np.ndarray:
     for i, pair in enumerate(entries):
         if (not isinstance(pair, list)) or len(pair) != 2:
             raise SchemaError(f"{path}.entries[{i}]: expected an [re, im] pair")
-        re, im = pair
-        if not all(isinstance(v, (int, float)) for v in (re, im)):
-            raise SchemaError(f"{path}.entries[{i}]: entries must be numbers")
-        try:
-            flat[i] = complex(re, im)
-        except OverflowError:
-            raise SchemaError(f"{path}.entries[{i}]: number too large for a float") from None
+        at = f"{path}.entries[{i}]"
+        flat[i] = complex(_number_field(pair[0], at), _number_field(pair[1], at))
     try:
         return as_complex_matrix(flat.reshape(rows, cols))
     except OperatorError as exc:
@@ -108,31 +133,25 @@ def channel_from_json(obj, path="$"):
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
+    payload = {"kraus": ("kraus_ops",), "choi": ("matrix",), "measure_prepare": ("povm", "states")}
+    if kind not in payload:
+        raise SchemaError(f"{path}.kind: unknown channel kind {kind!r}")
+    _expect_keys(obj, ("kind", "d_in", "d_out") + payload[kind],
+                 optional=("labels",) if kind == "measure_prepare" else (), path=path)
+    _positive_ints(obj, ("d_in", "d_out"), path)
     if kind == "kraus":
-        _expect_keys(obj, ("kind", "d_in", "d_out", "kraus_ops"), path=path)
-        ops = [operator_from_json(k, f"{path}.kraus_ops[{i}]")
-               for i, k in enumerate(_list_field(obj, "kraus_ops", path))]
-        ch = KrausChannel(ops)
+        ch = KrausChannel(operators_field(obj, "kraus_ops", path=path))
     elif kind == "choi":
-        _expect_keys(obj, ("kind", "d_in", "d_out", "matrix"), path=path)
-        if not all(type(obj[k]) is int and obj[k] >= 1 for k in ("d_in", "d_out")):
-            raise SchemaError(f"{path}.d_in/d_out: need positive integers")
         ch = ChoiChannel(operator_from_json(obj["matrix"], f"{path}.matrix"),
                          obj["d_in"], obj["d_out"])
-    elif kind == "measure_prepare":
-        _expect_keys(obj, ("kind", "d_in", "d_out", "povm", "states"),
-                     optional=("labels",), path=path)
-        effects = [operator_from_json(g, f"{path}.povm[{i}]")
-                   for i, g in enumerate(_list_field(obj, "povm", path))]
-        states = [operator_from_json(s, f"{path}.states[{i}]")
-                  for i, s in enumerate(_list_field(obj, "states", path))]
+    else:
+        effects = operators_field(obj, "povm", path=path)
+        states = operators_field(obj, "states", path=path)
         labels = tuple(_list_field(obj, "labels", path)) if "labels" in obj else None
         try:
             ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects), labels), states)
         except (OperatorError, ValueError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
-    else:
-        raise SchemaError(f"{path}.kind: unknown channel kind {kind!r}")
     if (ch.d_in, ch.d_out) != (obj["d_in"], obj["d_out"]):
         raise SchemaError(
             f"{path}.d_in/d_out: declared ({obj['d_in']}, {obj['d_out']}) but payload "
@@ -249,8 +268,7 @@ def _parse_known(obj):
         return operator_from_json(obj), "operator"
     if isinstance(obj, dict) and "states" in obj and "dim_row" not in obj:
         _expect_keys(obj, ("states",), path="$")
-        return [operator_from_json(s, f"$.states[{i}]")
-                for i, s in enumerate(_list_field(obj, "states"))], "state_set"
+        return operators_field(obj, "states"), "state_set"
     if isinstance(obj, dict) and "effects" in obj:
         _expect_keys(obj, ("effects",), optional=("picture", "channel", "epsilon"), path="$")
         return obj, "effect_set"

@@ -153,10 +153,10 @@ def test_criterion_4_atomic_reconstruction_and_schrodinger_cross_check():
         pairing = np.array([[np.real(np.trace(s @ g)) for g in dec.atoms]
                             for s in dec.states])
         assert np.max(np.abs(pairing - np.eye(m))) <= 1e-8
-        for b in alg.space.basis:
-            assert frob_norm(dec.reconstruct(b) - b) <= 1e-8
-        # Schrodinger cross-check on constructed fixed and perturbed states
         rebuilt = dec.rebuilt_channel()
+        for b in alg.space.basis:
+            assert frob_norm(rebuilt.apply_heisenberg(b) - b) <= 1e-8
+        # Schrodinger cross-check on constructed fixed and perturbed states
         probs = rng.dirichlet(np.ones(m))
         fixed = sum(p * s for p, s in zip(probs, dec.states))
         assert frob_norm(alg.channel.apply_schrodinger(fixed) - fixed) <= 1e-8

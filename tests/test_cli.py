@@ -276,6 +276,41 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_memory_error_in_witness_extraction_exits_3(tmp_path, capsys, monkeypatch):
+    import broadcastlab.contextuality as contextuality
+
+    def exhausted(choi, tol=1e-12):
+        raise MemoryError
+
+    monkeypatch.setattr(contextuality, "choi_to_kraus", exhausted)
+    path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
+    assert main(["check-meas", "--input", path, "--output", str(tmp_path / "r.json")]) == 3
+    assert "resource limit" in capsys.readouterr().err
+
+
+_ONE = operator_to_json(np.eye(1))
+
+
+@pytest.mark.parametrize("subcommand, doc, where", [
+    ("check-states", {"states": [{"dim_row": 1, "dim_col": 1, "entries": [[True, False]]}]},
+     "$.states[0].entries[0]"),
+    ("approx-check", {"effects": _PINCH_2, "epsilon": True,
+                      "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                                  "povm": _PINCH_2, "states": _PINCH_2}}, "$.epsilon"),
+    ("fixpoints", {"channel": {"kind": "kraus", "d_in": 1.0, "d_out": 1, "kraus_ops": [_ONE]}},
+     "$.channel.d_in/d_out"),
+    ("fixpoints", {"channel": {"kind": "kraus", "d_in": 1, "d_out": True, "kraus_ops": [_ONE]}},
+     "$.channel.d_in/d_out"),
+    ("approx-check", {"effects": [_ONE], "epsilon": 0.1,
+                      "channel": {"kind": "measure_prepare", "d_in": 2, "d_out": True,
+                                  "povm": [operator_to_json(np.eye(2))], "states": [_ONE]}},
+     "$.channel.d_in/d_out"),
+])
+def test_booleans_and_floats_are_not_numbers_or_sizes(tmp_path, capsys, subcommand, doc, where):
+    assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_unencodable_report_exits_4_without_output(tmp_path, capsys, monkeypatch):
     import broadcastlab.cli as cli
 

@@ -79,7 +79,8 @@ def test_check_states_random_families_loop():
         from broadcastlab.fixedpoint import fixed_space
         sp = fixed_space(v.witness)
         for rho in states:
-            assert sp.contains(rho, tol=1e-7)
+            inside = sum(np.vdot(b, rho) * b for b in sp.basis)
+            assert np.linalg.norm(rho - inside) <= 1e-7
         bad = random_noncommuting_states(d, n, rng)
         assert check_states(bad).verdict == "confirming"
 
@@ -105,6 +106,22 @@ def test_broadcaster_marginals_for_commuting_pair():
         assert trace_norm(partial_trace(out, (2, 2), side=2) - rho) <= 1e-12
         assert trace_norm(partial_trace(out, (2, 2), side=1) - rho) <= 1e-12
         np.testing.assert_allclose(s @ out @ s, out, atol=1e-14)
+
+
+def test_check_states_broadcaster_is_symmetric_lift_of_witness():
+    from broadcastlab.channels import SymmetricLift
+    from broadcastlab.serialization import channel_from_json, channel_to_json
+
+    states = random_commuting_states(3, 3, np.random.default_rng(52))
+    v = check_states(states)
+    assert isinstance(v.broadcaster, SymmetricLift)
+    assert v.broadcaster.povm is v.witness.povm
+    for pair, s in zip(v.broadcaster.states, v.witness.states):
+        np.testing.assert_array_equal(pair, np.kron(s, s))
+    back = channel_from_json(channel_to_json(v.broadcaster))
+    assert back.kind == "measure_prepare"
+    for got, want in zip(back.states, v.broadcaster.states):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_broadcaster_refuses_noncommuting():
@@ -376,3 +393,87 @@ def test_stage_positive_rejects_indefinite_input():
     fun = extend_effect_functional(effects, values, d)
     with pytest.raises(OperatorError):
         fun.stage_positive(np.diag([1.0, -1.0]))
+
+
+def _loop_validate(fun):
+    """The axiom checks of `ExtendedFunctional` as nested loops over pairs and
+    triples of effects, one distance at a time: the reference for its batched
+    Gram-matrix screen."""
+    v = fun.values
+    if v.min() < -fun.tol or v.max() > 1.0 + fun.tol:
+        i, s = np.unravel_index(int(np.argmax(np.abs(v - np.clip(v, 0, 1)))), v.shape)
+        raise AxiomViolationError("0 <= T(E) <= 1", f"effect {i}, sample {s}: value {v[i, s]!r}")
+    coeffs, resid = fun._expand(np.eye(fun.dim))
+    if resid > fun.tol:
+        raise AxiomViolationError("T(I) = 1", "identity is not in the span of the supplied effects")
+    unit = coeffs @ v
+    if np.max(np.abs(unit - 1.0)) > 1e-6:
+        s = int(np.argmax(np.abs(unit - 1.0)))
+        raise AxiomViolationError("T(I) = 1", f"sample {s}: T(I) = {unit[s]!r}")
+    n, eff, rows = len(fun.effects), fun.effects, fun._expand_matrix.T
+    for i in range(n):
+        for j in range(i, n):
+            total = eff[i] + eff[j]
+            if np.linalg.eigvalsh(total).max() > 1.0 + fun.tol:
+                continue
+            for k in range(n):
+                if np.linalg.norm(total - eff[k]) <= fun.tol:
+                    drift = np.max(np.abs(v[i] + v[j] - v[k]))
+                    if drift > 1e-6:
+                        raise AxiomViolationError(
+                            "T(E+F) = T(E) + T(F)", f"effects {i}+{j} vs {k}, drift {drift:.3e}")
+    for i in range(n):
+        ni = np.linalg.norm(rows[i])
+        for j in range(n):
+            if i == j or ni == 0:
+                continue
+            t = float(rows[j] @ rows[i] / (rows[j] @ rows[j])) if rows[j] @ rows[j] else 0.0
+            if 0 < t <= 1 + fun.tol and np.linalg.norm(eff[i] - t * eff[j]) <= fun.tol:
+                drift = np.max(np.abs(v[i] - t * v[j]))
+                if drift > 1e-6:
+                    raise AxiomViolationError(
+                        "T(tE) = tT(E)", f"effects {i} = {t:.6f} * {j}, drift {drift:.3e}")
+    w_all = np.linalg.lstsq(rows, v, rcond=None)[0]
+    drift = rows @ w_all - v
+    worst = float(np.max(np.abs(drift))) if drift.size else 0.0
+    if worst > 1e-6:
+        i, s = np.unravel_index(int(np.argmax(np.abs(drift))), drift.shape)
+        raise AxiomViolationError(
+            "linearity", f"values at effect {i}, sample {s} are inconsistent "
+                         f"with any linear functional (residual {worst:.3e})")
+
+
+def _first_violation(check):
+    try:
+        check()
+    except AxiomViolationError as exc:
+        return exc.axiom, exc.where
+    return None
+
+
+def test_batched_axiom_checks_match_loops():
+    """Generators, their sums and multiples and the complement to the identity,
+    shuffled, with values of sample states moved along a direction that keeps
+    T(I): the batched checks raise the loops' first violation, or none."""
+    rng = np.random.default_rng(63)
+    seen = set()
+    for case in range(60):
+        d = int(rng.integers(2, 4))
+        gens = [w * random_density(d, rng) for w in rng.dirichlet(np.ones(3)) * 0.9]
+        effects = gens + [np.eye(d) - sum(gens), gens[0] + gens[1], 0.3 * gens[2],
+                          0.7 * gens[0], gens[1] + gens[2], np.eye(d)]
+        effects = [effects[k] for k in rng.permutation(len(effects))]
+        samples = [random_density(d, rng) for _ in range(3)]
+        values = np.array([[np.real(np.trace(r @ e)) for r in samples] for e in effects])
+        fun = extend_effect_functional(effects, values, d)
+        if case % 4:
+            coeffs, _ = fun._expand(np.eye(d))
+            a, b = rng.choice(len(effects), 2, replace=False)
+            moved = values.copy()
+            moved[a] += 1e-3 * coeffs[b]
+            moved[b] -= 1e-3 * coeffs[a]
+            fun.values = moved
+        want = _first_violation(lambda: _loop_validate(fun))
+        assert _first_violation(fun._validate) == want
+        seen.add(want and want[0])
+    assert {None, "T(E+F) = T(E) + T(F)", "T(tE) = tT(E)"} <= seen

@@ -6,7 +6,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from families import commuting_pair, random_density, random_unitary, rotated_mub
 from broadcastlab.contextuality import (
     FeasibilityProblem,
     _constraint_rows,
+    _verify_witness,
     _herm_from_real_form,
     _real_form,
     check_measurements_feasibility,
@@ -192,8 +193,31 @@ def _problems_and_inputs(draw):
     return problem, problem.choi_from_coords(draw(coords)), problem.choi_from_coords(draw(coords))
 
 
+def _tiny_entries_case(tiny=1.716e-159):
+    """A Choi matrix whose coordinates over hermitian_basis(4) are all `tiny` but
+    one, 1.5: `np.linalg.eigvalsh` alone reads its spectrum 1e-7 off, and the
+    error grows as `tiny` shrinks."""
+    problem = FeasibilityProblem([np.diag([0.3, 0.7])])
+    coords = np.full(16, tiny)
+    coords[4] = 1.5
+    return problem, problem.choi_from_coords(coords), np.zeros((4, 4), dtype=complex)
+
+
+@pytest.mark.parametrize("tiny", [1.716e-159, 1e-160])
+def test_spectra_exact_beside_entries_far_below_the_rest(tiny):
+    problem, x, _ = _tiny_entries_case(tiny)
+    res = problem.residuals(x)
+    assert res["psd"] == pytest.approx(np.linalg.norm(x - problem.project_psd(x)), abs=1e-12)
+    assert res["ppt"] == pytest.approx(np.linalg.norm(x - problem.project_ppt(x)), abs=1e-12)
+    checked = _verify_witness(problem, x)
+    assert checked["min_eigenvalue"] == pytest.approx(np.linalg.eigh(x)[0][0], abs=1e-12)
+    pt = partial_transpose(x, (2, 2), side=1)
+    assert checked["min_ppt_eigenvalue"] == pytest.approx(np.linalg.eigh(pt)[0][0], abs=1e-12)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_problems_and_inputs())
+@example(_tiny_entries_case())
 def test_projections_are_nonexpansive_idempotent_and_land_in_their_sets(case):
     problem, x, y = case
     d = problem.dim

@@ -3,7 +3,14 @@ import pytest
 
 from families import random_density, random_eb_channel, random_hermitian, random_unitary
 
-from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, channel_matrix
+from broadcastlab.channels import (
+    KrausChannel,
+    MeasurePrepareChannel,
+    apply,
+    channel_matrix,
+    choi_transform,
+    symmetric_lift,
+)
 from broadcastlab.config import DimensionCapError
 from broadcastlab.fixedpoint import (
     BroadcastingAlgebra,
@@ -85,7 +92,8 @@ def test_fixed_space_invariants():
         for j, c in enumerate(sp.basis):
             want = 1.0 if i == j else 0.0
             assert abs(np.vdot(b, c) - want) <= 1e-10
-    assert sp.contains(np.eye(4))
+    eye = vec(np.eye(4))
+    assert frob_norm(_span_projector(sp.basis) @ eye - eye) <= 2e-8
 
 
 def test_fixed_space_dimension_cap():
@@ -131,6 +139,45 @@ def test_cesaro_reports_nonconvergence_residual():
     res = cesaro_apply(ch, sx, n_terms=20, early_stop_tol=1e-15)
     assert not res.converged
     assert res.residual > 1e-15
+
+
+def _sequential_cesaro(channel, a, n, picture):
+    """The Cesaro averages of n and n - 1 terms, one application of the channel
+    per term (the n - 1 average is None at n = 1)."""
+    x = np.asarray(a, dtype=complex)
+    total, previous = x.copy(), None
+    for k in range(2, n + 1):
+        previous = total / (k - 1)
+        x = apply(channel, x, picture)
+        total = total + x
+    return total / n, previous
+
+
+def _seeded_channels(d, rng):
+    isometry = np.linalg.qr(rng.standard_normal((3 * d, d))
+                            + 1j * rng.standard_normal((3 * d, d)))[0]
+    kraus = KrausChannel([isometry[k * d:(k + 1) * d] for k in range(3)])
+    return {"kraus": kraus, "choi": choi_transform(kraus),
+            "measure_prepare": random_eb_channel(d, rng, kind="generic")}
+
+
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+@pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare"])
+def test_cesaro_apply_matches_sequential_loop(kind, picture):
+    """The doubling average against a loop that applies the channel once per term."""
+    rng = np.random.default_rng(33)
+    channel = _seeded_channels(3, rng)[kind]
+    a = random_hermitian(3, rng) + 1j * random_hermitian(3, rng)
+    for n in (1, 2, 37, 64):
+        res = cesaro_apply(channel, a, n_terms=n, early_stop_tol=1e-3, picture=picture)
+        avg, previous = _sequential_cesaro(channel, a, n, picture)
+        np.testing.assert_allclose(res.matrix, avg, rtol=0, atol=1e-12)
+        assert res.n_terms == n
+        if n == 1:
+            assert res.residual == np.inf and not res.converged
+        else:
+            assert res.residual == pytest.approx(frob_norm(avg - previous), rel=0, abs=1e-12)
+            assert res.converged == (res.residual <= 1e-3)
 
 
 def test_psi0_two_methods_agree_for_pinching():
@@ -350,24 +397,32 @@ def test_cstar_identity_from_product_table():
 @pytest.mark.parametrize("kind", ["pinching", "norm1"])
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_product_table_matches_pairwise_products(d, kind):
-    """The contracted table against a loop of <B_k, B_i * B_j> over basis pairs."""
+    """The contracted table against a loop of <B_k, psi_0(Phi*(B_i (x) B_j))> over
+    basis pairs, with Phi the channel's symmetric lift."""
     rng = np.random.default_rng(70 + d)
     alg = BroadcastingAlgebra(random_eb_channel(d, rng, kind=kind))
     basis = alg.space.basis
-    ref = np.array([[[np.vdot(bk, alg._raw_product(bi, bj)) for bk in basis]
-                     for bj in basis] for bi in basis])
+    lift = symmetric_lift(alg.channel)
+    ref = np.array([[[np.vdot(bk, alg.project(lift.apply_heisenberg(np.kron(bi, bj))))
+                      for bk in basis] for bj in basis] for bi in basis])
     assert len(basis) >= 2
     np.testing.assert_allclose(alg.product_table, ref.real, rtol=0, atol=1e-13)
     assert alg.table_imag_drift == pytest.approx(np.abs(ref.imag).max(), rel=0, abs=1e-15)
+    # the product goes through the table, on complex operands too
+    a, b = (alg.from_coefficients(rng.standard_normal(len(basis))
+                                  + 1j * rng.standard_normal(len(basis))) for _ in range(2))
+    np.testing.assert_allclose(alg.product(a, b),
+                               alg.project(lift.apply_heisenberg(np.kron(a, b))),
+                               rtol=0, atol=1e-12)
 
 
 def test_reconstruction_on_every_basis_element():
     rng = np.random.default_rng(43)
     for kind in ("pinching", "norm1", "generic"):
         alg = BroadcastingAlgebra(random_eb_channel(4, rng, kind=kind))
-        dec = atomic_decomposition(alg)
+        rebuilt = atomic_decomposition(alg).rebuilt_channel()
         for b in alg.space.basis:
-            assert frob_norm(dec.reconstruct(b) - b) <= 1e-8
+            assert frob_norm(rebuilt.apply_heisenberg(b) - b) <= 1e-8
 
 
 def test_schrodinger_fixed_states_match_rebuilt_channel():

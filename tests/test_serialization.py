@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from families import random_density, random_eb_channel, random_unitary
 
 from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, choi_transform
-from broadcastlab.operators import DiscretePOVM
+from broadcastlab.operators import DiscretePOVM, as_density
 from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,
@@ -17,6 +17,7 @@ from broadcastlab.serialization import (
     io_roundtrip,
     operator_from_json,
     operator_to_json,
+    operators_field,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -70,6 +71,24 @@ def test_channel_schema_rejects_unknown_kind_and_mismatched_dims():
     doc["d_out"] = 3
     with pytest.raises(SchemaError, match="d_in/d_out"):
         channel_from_json(doc)
+
+
+def test_operator_lists_name_the_failing_element(tmp_path):
+    good, bad = operator_to_json(np.eye(1)), {"dim_row": 1, "dim_col": 1, "entries": [["x", 0]]}
+    with pytest.raises(SchemaError, match=r"^\$\.channel\.kraus_ops\[1\]\.entries\[0\]: "):
+        channel_from_json({"kind": "kraus", "d_in": 1, "d_out": 1, "kraus_ops": [good, bad]},
+                          "$.channel")
+    for key in ("povm", "states"):
+        doc = {"kind": "measure_prepare", "d_in": 1, "d_out": 1, "povm": [good], "states": [good]}
+        doc[key] = [good, good, bad]
+        with pytest.raises(SchemaError, match=rf"^\$\.{key}\[2\]\.entries\[0\]: "):
+            channel_from_json(doc)
+    with pytest.raises(SchemaError, match=r"^\$\.states: density operator has eigenvalue"):
+        operators_field({"states": [good, operator_to_json(-np.eye(1))]}, "states", as_density)
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps({"states": [good, bad]}))
+    with pytest.raises(SchemaError, match=r"^\$\.states\[1\]\.entries\[0\]: "):
+        io_roundtrip(str(path))
 
 
 def test_invalid_state_rejected_naming_invariant(tmp_path):

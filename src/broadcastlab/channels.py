@@ -164,8 +164,11 @@ class SymmetricLift(MeasurePrepareChannel):
 
     The measure-and-prepare channel with the base's POVM that prepares
     sigma_i (x) sigma_i on H (x) H: Phi*(X) = sum_i tr((sigma_i (x) sigma_i) X) G_i,
-    so Phi*(A (x) I) = Phi*(I (x) A) = Lambda*(A).
+    so Phi*(A (x) I) = Phi*(I (x) A) = Lambda*(A).  The lift keeps its base,
+    which determines it: its JSON form is the base's.
     """
+
+    kind = "symmetric_lift"
 
     # the three methods below only delegate: the benchmark tracer wraps the
     # methods a class defines itself, so each must stay on this class
@@ -173,6 +176,7 @@ class SymmetricLift(MeasurePrepareChannel):
         if base.d_in != base.d_out:
             raise ChannelError("symmetric lift needs a square measure-prepare channel")
         super().__init__(base.povm, [np.kron(s, s) for s in base.states])
+        self.base = base
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         return super().apply_schrodinger(rho)

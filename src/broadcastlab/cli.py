@@ -54,16 +54,13 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 
-# --tol default of each subcommand, recorded in the report's config
+# --tol default of each subcommand that reads a tolerance, recorded in the
+# report's config; the others take no --tol and record a null tol
 _DEFAULT_TOL = {
     "fixpoints": 1e-9,
     "check-states": 1e-9,
     "check-meas": 1e-7,
     "pvm-embed": 1e-10,
-    "approx-check": 1e-10,
-    "cv-q": 1e-8,
-    "cv-shift": 1e-9,
-    "cv-position": 1e-10,
 }
 
 
@@ -83,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", default=None, help="report path (default stdout)")
-        p.add_argument("--tol", type=float, default=_DEFAULT_TOL[name], help="tolerance")
+        if name in _DEFAULT_TOL:
+            p.add_argument("--tol", type=float, default=_DEFAULT_TOL[name], help="tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized routines")
         p.add_argument("--budget", type=int, default=20000, help="iteration budget")
         p.add_argument("--levels", type=int, default=24, help="Fock truncation levels")
@@ -104,7 +102,7 @@ def _config_dict(args) -> dict:
         "subcommand": args.subcommand,
         "input": getattr(args, "input", None),
         "output": args.output,
-        "tol": args.tol,
+        "tol": getattr(args, "tol", None),
         "seed": args.seed,
         "budget": args.budget,
         "levels": args.levels,
@@ -278,8 +276,9 @@ def run(args) -> dict:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        print(f"error: invalid input: --tol must be finite and positive, got {args.tol!r}",
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        print(f"error: invalid input: --tol must be finite and positive, got {tol!r}",
               file=sys.stderr)
         return EXIT_PARSE
     try:

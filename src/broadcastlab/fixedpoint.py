@@ -5,7 +5,7 @@ decomposition into an eigenvalue-1 POVM with dual states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,7 @@ class FixedPointError(RuntimeError):
 class FixedPointSpace:
     """Hilbert-Schmidt-orthonormal Hermitian basis of Fix of a Heisenberg action."""
 
-    channel: object
     basis: tuple
-    tol: float
     singular_values: tuple  # ascending ladder of sigma(L - id)
 
     @property
@@ -146,8 +144,7 @@ def _space_from(channel, right: np.ndarray, ladder: np.ndarray, tol: float) -> F
         resid = frob_norm(apply(channel, b, "heisenberg") - b)
         if resid > 100 * max(tol, 1e-12) * max(1.0, float(ladder[-1]) if len(ladder) else 1.0):
             raise FixedPointError(f"basis element fails the fixed-point check: {resid:.3e}")
-    return FixedPointSpace(channel=channel, basis=tuple(basis), tol=tol,
-                           singular_values=tuple(float(s) for s in ladder))
+    return FixedPointSpace(basis=tuple(basis), singular_values=tuple(float(s) for s in ladder))
 
 
 @dataclass(frozen=True)
@@ -314,7 +311,6 @@ class AtomicDecomposition:
 
     povm: DiscretePOVM
     states: tuple
-    algebra: BroadcastingAlgebra = field(repr=False)
     state_repair_residual: float
     redraws: int
 
@@ -426,7 +422,6 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
     decomposition = AtomicDecomposition(
         povm=DiscretePOVM(tuple(atoms), tol=max(tol, 1e-8)),
         states=tuple(states),
-        algebra=algebra,
         state_repair_residual=float(repair),
         redraws=redraws,
     )

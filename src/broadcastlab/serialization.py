@@ -2,7 +2,8 @@
 
 Operator shape: {"dim_row": n, "dim_col": m, "entries": [[re, im], ...]} with
 entries flattened row-major.  Channel shape: {"kind": ..., "d_in": ...,
-"d_out": ..., <payload>}.  Readers are strict: unknown or missing fields are
+"d_out": ..., <payload>}, where a symmetric lift's payload is its
+measure-and-prepare base.  Readers are strict: unknown or missing fields are
 rejected with the offending field path."""
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 
 import numpy as np
 
-from .channels import ChoiChannel, KrausChannel, MeasurePrepareChannel
+from .channels import ChoiChannel, KrausChannel, MeasurePrepareChannel, SymmetricLift
 from .operators import DiscretePOVM, OperatorError, as_complex_matrix
 
 __all__ = [
@@ -124,19 +125,27 @@ def channel_to_json(channel) -> dict:
             "states": [operator_to_json(s) for s in channel.states],
             "labels": list(channel.povm.labels),
         }
+    elif kind == "symmetric_lift":
+        payload = {"base": channel_to_json(channel.base)}
     else:
         raise SchemaError(f"cannot serialize channel of kind {kind!r}")
     return {"kind": kind, "d_in": channel.d_in, "d_out": channel.d_out, **payload}
 
 
-def channel_from_json(obj, path="$"):
+_CHANNEL_PAYLOAD = {"kraus": ("kraus_ops",), "choi": ("matrix",),
+                    "measure_prepare": ("povm", "states"), "symmetric_lift": ("base",)}
+
+
+def channel_from_json(obj, path="$", kinds=tuple(_CHANNEL_PAYLOAD)):
+    """The channel a document of one of `kinds` describes.  A symmetric lift's
+    base is read as a measure_prepare document only, so however deep a
+    document nests, the reader recurses at most once."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object")
     kind = obj.get("kind")
-    payload = {"kraus": ("kraus_ops",), "choi": ("matrix",), "measure_prepare": ("povm", "states")}
-    if kind not in payload:
-        raise SchemaError(f"{path}.kind: unknown channel kind {kind!r}")
-    _expect_keys(obj, ("kind", "d_in", "d_out") + payload[kind],
+    if kind not in kinds:
+        raise SchemaError(f"{path}.kind: expected {' | '.join(map(repr, kinds))}, got {kind!r}")
+    _expect_keys(obj, ("kind", "d_in", "d_out") + _CHANNEL_PAYLOAD[kind],
                  optional=("labels",) if kind == "measure_prepare" else (), path=path)
     _positive_ints(obj, ("d_in", "d_out"), path)
     if kind == "kraus":
@@ -144,7 +153,7 @@ def channel_from_json(obj, path="$"):
     elif kind == "choi":
         ch = ChoiChannel(operator_from_json(obj["matrix"], f"{path}.matrix"),
                          obj["d_in"], obj["d_out"])
-    else:
+    elif kind == "measure_prepare":
         effects = operators_field(obj, "povm", path=path)
         states = operators_field(obj, "states", path=path)
         labels = tuple(_list_field(obj, "labels", path)) if "labels" in obj else None
@@ -152,6 +161,12 @@ def channel_from_json(obj, path="$"):
             ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects), labels), states)
         except (OperatorError, ValueError) as exc:
             raise SchemaError(f"{path}: {exc}") from exc
+    else:
+        base = channel_from_json(obj["base"], f"{path}.base", ("measure_prepare",))
+        try:
+            ch = SymmetricLift(base)
+        except ValueError as exc:  # a non-square base, or a lifted state that is no density
+            raise SchemaError(f"{path}.base: {exc}") from exc
     if (ch.d_in, ch.d_out) != (obj["d_in"], obj["d_out"]):
         raise SchemaError(
             f"{path}.d_in/d_out: declared ({obj['d_in']}, {obj['d_out']}) but payload "
@@ -168,8 +183,8 @@ def dumps_report(report: dict) -> str:
     falls back to its pure-Python encoder, so this one is specialised: each
     list of `[re, im]` float pairs (the operator entries, nearly all of a
     report) is formatted by one `%` over a template of fixed layout, and
-    `float.__repr__` runs once per distinct value of the list, since the
-    swap-symmetric, Hermitian broadcaster states repeat most of theirs."""
+    `float.__repr__` runs once per distinct value of the list, since a
+    Hermitian operator holds each off-diagonal real part twice."""
     return _encode(report, 0) + "\n"
 
 
@@ -257,7 +272,10 @@ def _encode(o, depth: int) -> str:
 
 def load_json_file(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # the stdlib decoder recurses once per nesting level
+            raise SchemaError(f"$: {path} nests JSON too deeply to read") from None
 
 
 def _parse_known(obj):

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from families import random_commuting_states
+
+from broadcastlab.channels import SymmetricLift
 from broadcastlab.cli import main
-from broadcastlab.serialization import operator_to_json
+from broadcastlab.operators import partial_trace, trace_norm
+from broadcastlab.serialization import channel_from_json, operator_to_json
 
 
 def _write(tmp_path, name, doc):
@@ -121,6 +125,8 @@ def test_pvm_embed_malformed_document_exits_2(tmp_path, doc):
 
 
 _PINCH_2 = [operator_to_json(np.diag([1.0, 0.0])), operator_to_json(np.diag([0.0, 1.0]))]
+_PINCH_CHANNEL = {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+                  "povm": _PINCH_2, "states": _PINCH_2}
 
 
 @pytest.mark.parametrize("subcommand, doc", [
@@ -251,17 +257,37 @@ def test_report_embeds_effective_configuration(commuting_states_file, tmp_path):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("subcommand", ["check-meas", "cv-q"])
+@pytest.mark.parametrize("subcommand", ["check-meas", "fixpoints"])
 def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, subcommand, tol):
     out = tmp_path / "report.json"
     argv = [subcommand, "--tol", tol, "--output", str(out), "--budget", "50"]
     if subcommand == "check-meas":
         argv += ["--input", _write(tmp_path, "pvm.json", {"effects": _PINCH_2})]
     else:
-        argv += ["--levels", "4"]
+        argv += ["--input", _write(tmp_path, "fix.json", {"channel": _PINCH_CHANNEL})]
     assert main(argv) == 2
     assert "--tol must be finite and positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["approx-check", "cv-q", "cv-shift", "cv-position"])
+def test_tol_refused_where_no_tolerance_is_read(tmp_path, capsys, subcommand):
+    out = tmp_path / "report.json"
+    argv = [subcommand, "--tol", "1e-3", "--output", str(out)]
+    if subcommand == "approx-check":
+        argv += ["--input", _write(tmp_path, "approx.json", {
+            "effects": _PINCH_2, "epsilon": 0.1, "channel": _PINCH_CHANNEL})]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_tol_is_null_where_no_tolerance_is_read(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["cv-position", "--levels", "4", "--bins", "2", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["tol"] is None
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -388,3 +414,67 @@ def test_parser_reuse_keeps_default_configuration(tmp_path):
     again = fixpoints_config()
     assert again == fresh
     assert (again["budget"], again["seed"], again["tol"]) == (20000, 0, 1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_check_states_broadcaster_rebuilds_as_lift_of_witness(tmp_path, d):
+    states = random_commuting_states(d, 4, np.random.default_rng(130 + d))
+    path = _write(tmp_path, "states.json", {"states": [operator_to_json(s) for s in states]})
+    out = tmp_path / "report.json"
+    assert main(["check-states", "--input", path, "--output", str(out), "--seed", "5"]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["verdict"] == "non_confirming"
+    broadcaster = channel_from_json(result["broadcaster"], "$.result.broadcaster")
+    witness = channel_from_json(result["witness"], "$.result.witness")
+    assert isinstance(broadcaster, SymmetricLift)
+    assert (broadcaster.d_in, broadcaster.d_out) == (d, d * d)
+    assert len(broadcaster.states) == len(witness.states)
+    for pair, s in zip(broadcaster.states, witness.states):
+        assert pair.tobytes() == np.kron(s, s).tobytes()
+    for rho in states:
+        out_state = broadcaster.apply_schrodinger(rho)
+        for side in (1, 2):
+            assert trace_norm(partial_trace(out_state, (d, d), side=side) - rho) <= 1e-10
+
+
+def _lift(base, **fields):
+    return {"kind": "symmetric_lift", "d_in": 2, "d_out": 4, "base": base, **fields}
+
+
+@pytest.mark.parametrize("channel, where", [
+    (_lift({"kind": "kraus", "d_in": 2, "d_out": 2, "kraus_ops": [operator_to_json(np.eye(2))]}),
+     "$.channel.base.kind"),
+    (_lift({"kind": "measure_prepare", "d_in": 2, "d_out": 1,
+            "povm": [operator_to_json(np.eye(2))], "states": [_ONE]}),
+     "$.channel.base: symmetric lift needs a square"),
+    (_lift(_lift(_PINCH_CHANNEL)), "$.channel.base.kind"),
+    (_lift(_PINCH_CHANNEL, d_out=2), "$.channel.d_in/d_out"),
+    (_lift({**_PINCH_CHANNEL, "d_out": 3}), "$.channel.base.d_in/d_out"),
+    ({"kind": "symmetric_lift", "d_in": 2, "d_out": 4}, "$.channel.base: missing"),
+    (_lift(_PINCH_CHANNEL, extra=1), "$.channel.extra: unknown field"),
+    (_lift({**_PINCH_CHANNEL, "extra": 1}), "$.channel.base.extra: unknown field"),
+    (_lift([_PINCH_CHANNEL]), "$.channel.base: expected an object"),
+], ids=["kraus-base", "non-square-base", "lift-base", "wrong-d_out", "wrong-base-d_out",
+        "missing-base", "extra-field", "extra-base-field", "list-base"])
+def test_malformed_symmetric_lift_exits_2_naming_its_path(tmp_path, capsys, channel, where):
+    assert main(["fixpoints", "--input", _write(tmp_path, "doc.json", {"channel": channel})]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_deeply_nested_lift_exits_2(tmp_path, capsys):
+    depth = 10_000
+    head = '{"kind": "symmetric_lift", "d_in": 2, "d_out": 4, "base": '
+    path = tmp_path / "deep.json"
+    path.write_text('{"channel": ' + head * depth + json.dumps(_PINCH_CHANNEL)
+                    + "}" * (depth + 1))
+    assert main(["fixpoints", "--input", str(path)]) == 2
+    assert "too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["fixpoints", "approx-check"])
+def test_symmetric_lift_channel_exits_2(tmp_path, capsys, subcommand):
+    doc = {"channel": _lift(_PINCH_CHANNEL)}
+    if subcommand == "approx-check":
+        doc.update(effects=_PINCH_2, epsilon=0.1)
+    assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
+    assert "error: invalid input" in capsys.readouterr().err

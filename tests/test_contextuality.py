@@ -119,7 +119,7 @@ def test_check_states_broadcaster_is_symmetric_lift_of_witness():
     for pair, s in zip(v.broadcaster.states, v.witness.states):
         np.testing.assert_array_equal(pair, np.kron(s, s))
     back = channel_from_json(channel_to_json(v.broadcaster))
-    assert back.kind == "measure_prepare"
+    assert back.kind == "symmetric_lift"
     for got, want in zip(back.states, v.broadcaster.states):
         np.testing.assert_array_equal(got, want)
 

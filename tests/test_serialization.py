@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import strategies as st
 
 from families import random_density, random_eb_channel, random_unitary
 
-from broadcastlab.channels import KrausChannel, MeasurePrepareChannel, choi_transform
+from broadcastlab.channels import (
+    KrausChannel,
+    MeasurePrepareChannel,
+    SymmetricLift,
+    choi_transform,
+    symmetric_lift,
+)
+from broadcastlab.cli import main
 from broadcastlab.operators import DiscretePOVM, as_density
 from broadcastlab.serialization import (
     SchemaError,
@@ -207,8 +216,8 @@ _EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310)
 @st.composite
 def _repeating_pairs(draw):
     """Pairs from a pool of a few magnitudes with both signs, signed zeros and
-    subnormals, as Python or numpy floats: most values repeat, as in a
-    broadcaster's kron(p, p) entries."""
+    subnormals, as Python or numpy floats: most values repeat, as in the
+    entries of a projector."""
     magnitudes = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
                                | st.floats(-1e-307, 1e-307), min_size=1, max_size=3))
     pool = st.sampled_from(sorted({*magnitudes, *(-x for x in magnitudes)}) + list(_EDGE_VALUES))
@@ -311,15 +320,100 @@ def _channel_arrays(ch):
     lambda rng: choi_transform(_kraus_channel(3, 2, 2, rng)),
     lambda rng: random_eb_channel(3, rng, "generic"),
     lambda rng: random_eb_channel(4, rng, "pinching"),
-], ids=["kraus", "choi", "measure-prepare", "pinching"])
+    lambda rng: symmetric_lift(random_eb_channel(3, rng, "generic")),
+], ids=["kraus", "choi", "measure-prepare", "pinching", "symmetric-lift"])
 def test_channel_json_roundtrip_through_dumps_report(build):
     ch = build(np.random.default_rng(90))
     back = channel_from_json(json.loads(dumps_report(channel_to_json(ch))))
     assert type(back) is type(ch)
     assert (back.d_in, back.d_out) == (ch.d_in, ch.d_out)
-    if ch.kind == "measure_prepare":
+    if ch.kind not in ("kraus", "choi"):
         assert back.povm.labels == ch.povm.labels
     want, got = _channel_arrays(ch), _channel_arrays(back)
     assert len(got) == len(want)
     for a, b in zip(want, got):
         np.testing.assert_array_equal(b, a)
+
+
+def test_symmetric_lift_json_is_its_base():
+    base = random_eb_channel(3, np.random.default_rng(91), "pinching")
+    doc = channel_to_json(symmetric_lift(base))
+    assert doc == {"kind": "symmetric_lift", "d_in": 3, "d_out": 9,
+                   "base": channel_to_json(base)}
+    back = channel_from_json(json.loads(dumps_report(doc)))
+    assert isinstance(back, SymmetricLift) and back.base.kind == "measure_prepare"
+    for got, want in zip(back.base.states, base.states):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_symmetric_lift_reader_does_not_recurse_into_its_base():
+    doc = channel_to_json(MeasurePrepareChannel(DiscretePOVM((np.eye(2),)), [np.eye(2) / 2]))
+    for _ in range(10_000):
+        doc = {"kind": "symmetric_lift", "d_in": 2, "d_out": 4, "base": doc}
+    with pytest.raises(SchemaError, match=r"^\$\.base\.kind: expected 'measure_prepare', "
+                                          r"got 'symmetric_lift'$"):
+        channel_from_json(doc)
+
+
+def _valid_channel_docs():
+    pinch = MeasurePrepareChannel(DiscretePOVM((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+                                  [np.eye(2) / 2, np.diag([1.0, 0.0])])
+    kraus = KrausChannel([np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    one = MeasurePrepareChannel(DiscretePOVM((np.eye(1),)), [np.eye(1)])
+    return [channel_to_json(ch) for ch in (kraus, choi_transform(kraus), pinch,
+                                           symmetric_lift(pinch), one, symmetric_lift(one))]
+
+
+_VALID_CHANNELS = _valid_channel_docs()
+_KINDS = ("kraus", "choi", "measure_prepare", "symmetric_lift")
+_NEAR_VALUE = (st.booleans() | st.integers(-1, 5) | st.sampled_from(_KINDS)
+               | st.lists(st.sampled_from([operator_to_json(np.eye(1)), operator_to_json(SX)]),
+                          max_size=2) | _JSON)
+
+
+@st.composite
+def _near_miss_channels(draw):
+    """A valid channel document of one of the four kinds with up to three edits:
+    a field (of the document or of a base it holds) replaced by a value of the
+    wrong kind or type, a field deleted or added, or the document lifted again."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_CHANNELS))))
+    for _ in range(draw(st.integers(0, 3))):
+        target = doc
+        while isinstance(target.get("base"), dict) and draw(st.booleans()):
+            target = target["base"]
+        key = draw(st.sampled_from(sorted(target) + ["extra"]))
+        edit = draw(st.sampled_from(["replace", "delete", "lift"]))
+        if edit == "replace":
+            target[key] = draw(_NEAR_VALUE)
+        elif edit == "delete":
+            target.pop(key, None)
+        else:
+            doc = {"kind": "symmetric_lift", "d_in": doc.get("d_in"),
+                   "d_out": draw(st.sampled_from([doc.get("d_out"), 4])), "base": doc}
+    return doc
+
+
+def _mostly(valid, near):
+    """Draws from `valid` three times in four, else from `near`."""
+    return st.integers(0, 3).flatmap(lambda k: near if k == 0 else valid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mostly(_near_miss_channels(), _JSON),
+       _mostly(st.sampled_from([_VALID_CHANNELS[2]["povm"], [operator_to_json(np.eye(4) / 4)]]),
+               _NEAR_VALUE),
+       _mostly(st.floats(), _JSON))
+@example({"kind": [1], "d_in": 2, "d_out": 2}, [], 0.1)
+@example(_VALID_CHANNELS[3], _VALID_CHANNELS[2]["povm"], 0.1)
+@example(_VALID_CHANNELS[5], [operator_to_json(np.eye(1))], 0.5)
+def test_channel_readers_end_in_a_documented_exit_code(channel, effects, epsilon):
+    with tempfile.TemporaryDirectory() as tmp:
+        for subcommand, doc in (("fixpoints", {"channel": channel}),
+                                ("approx-check", {"effects": effects, "channel": channel,
+                                                  "epsilon": epsilon}),
+                                ("fixpoints", channel)):
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            code = main([subcommand, "--input", path, "--output", os.path.join(tmp, "r.json")])
+            assert code in (0, 2, 3, 4)

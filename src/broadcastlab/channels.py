@@ -7,12 +7,15 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import (
+    PSD_TOL,
+    TRACE_TOL,
     DiscretePOVM,
     as_complex_matrix,
     as_density,
     as_hermitian,
     dagger,
     op_norm,
+    op_norm_exceeds,
     partial_trace,
     vec,
     unvec,
@@ -62,10 +65,11 @@ class KrausChannel:
         d_out, d_in = ops[0].shape
         if any(k.shape != (d_out, d_in) for k in ops):
             raise ChannelError("Kraus operators must share one shape")
-        resid = op_norm(sum(dagger(k) @ k for k in ops) - np.eye(d_in))
-        if resid > tol:
+        resid = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
+        if op_norm_exceeds(resid, tol):
             raise ChannelError(
-                f"Kraus operators are not trace preserving: residual {resid:.3e} > {tol:.1e}"
+                "Kraus operators are not trace preserving: "
+                f"residual {op_norm(resid):.3e} > {tol:.1e}"
             )
         self.kraus_ops = ops
         self.d_in = d_in
@@ -98,10 +102,10 @@ class ChoiChannel:
         w = np.linalg.eigvalsh(j)
         if w.min() < -tol * max(1.0, w.max()):
             raise ChannelError(f"Choi matrix is not PSD: min eigenvalue {w.min():.3e}")
-        resid = op_norm(partial_trace(j, (d_in, d_out), side=2) - np.eye(d_in))
-        if resid > tol:
+        resid = partial_trace(j, (d_in, d_out), side=2) - np.eye(d_in)
+        if op_norm_exceeds(resid, tol):
             raise ChannelError(
-                f"Choi matrix is not trace preserving: tr_2(J) - I residual {resid:.3e}"
+                f"Choi matrix is not trace preserving: tr_2(J) - I residual {op_norm(resid):.3e}"
             )
         self.matrix = j
         self.d_in = d_in
@@ -170,14 +174,26 @@ class SymmetricLift(MeasurePrepareChannel):
 
     kind = "symmetric_lift"
 
-    # the three methods below only delegate: the benchmark tracer wraps the
-    # methods a class defines itself, so each must stay on this class
     def __init__(self, base: MeasurePrepareChannel):
         if base.d_in != base.d_out:
             raise ChannelError("symmetric lift needs a square measure-prepare channel")
-        super().__init__(base.povm, [np.kron(s, s) for s in base.states])
+        # s (x) s has trace tr(s)^2 and eigenvalues lambda_i lambda_j. A base
+        # state passes |tr(s) - 1| <= delta and lambda >= -eps, so its largest
+        # eigenvalue is at most 1 + delta + d eps, |tr(s)^2 - 1| <= delta (2 + delta)
+        # and lambda_i lambda_j >= -eps (1 + delta + d eps). The d^2-term sums
+        # and the eigensolver round by at most a further 8 d^2 ulps.
+        d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
+        rounding = 8.0 * d * d * np.finfo(float).eps
+        self.povm = base.povm
+        self.states = tuple(
+            as_density(np.kron(s, s), psd_tol=eps * (1.0 + delta + d * eps) + rounding,
+                       trace_tol=delta * (2.0 + delta) + rounding)
+            for s in base.states)
+        self.d_in, self.d_out = d, d * d
         self.base = base
 
+    # the two methods below only delegate: the benchmark tracer wraps the
+    # methods a class defines itself, so each must stay on this class
     def apply_schrodinger(self, rho) -> np.ndarray:
         return super().apply_schrodinger(rho)
 

@@ -26,7 +26,9 @@ from .operators import (
     dagger,
     frob_norm,
     hermitian_basis,
+    max_op_norm,
     op_norm,
+    op_norm_exceeds,
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
@@ -201,15 +203,15 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
 
     # single-PVM check at atom level: idempotent, mutually orthogonal, complete
     for i, p in enumerate(projs):
-        if op_norm(p @ p - p) > tol:
+        if op_norm_exceeds(p @ p - p, tol):
             raise OperatorError(f"outcome {labels[i]!r} is not a projection")
         for j in range(i + 1, len(projs)):
-            if op_norm(p @ projs[j]) > tol:
+            if op_norm_exceeds(p @ projs[j], tol):
                 raise OperatorError(
                     f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
                     "inputs are not effects of a single PVM"
                 )
-    if op_norm(sum(projs) - np.eye(d)) > tol:
+    if op_norm_exceeds(sum(projs) - np.eye(d), tol):
         raise OperatorError("atom-level projections do not sum to the identity")
 
     proj_by_label = dict(zip(labels, projs))
@@ -231,7 +233,7 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
         # sum in `labels` order: set order follows string hashing, which
         # changes from process to process
         eff = sum(proj_by_label[lab] for lab in labels if lab in atom_labels[v])
-        if op_norm(eff) > tol:
+        if op_norm_exceeds(eff, tol):
             kept.append((v, frozenset(atom_labels[v]), eff))
 
     atom_effects = tuple(e for _, _, e in kept)
@@ -245,11 +247,9 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
         for k in range(n)
     )
 
-    worst = 0.0
-    for kk in subset_sets:
-        a_k = sum((proj_by_label[lab] for lab in labels if lab in kk),
-                  np.zeros((d, d), dtype=complex))
-        worst = max(worst, op_norm(channel.apply_heisenberg(a_k) - a_k))
+    a_ks = (sum((proj_by_label[lab] for lab in labels if lab in kk),
+                np.zeros((d, d), dtype=complex)) for kk in subset_sets)
+    worst = max_op_norm(channel.apply_heisenberg(a_k) - a_k for a_k in a_ks)[0]
     if worst > 1e-12:
         raise RuntimeError(f"partition embedding fixed-point residual {worst:.3e} > 1e-12")
 

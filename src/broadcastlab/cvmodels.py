@@ -21,6 +21,7 @@ from .operators import (
     as_complex_matrix,
     dagger,
     frob_norm,
+    max_op_norm,
     op_norm,
     unvec,
     vec,
@@ -407,8 +408,8 @@ def repair_to_commuting_projections(effects, seed: int = 0):
     for i in range(len(ops)):
         sel = np.where(assignment == i, 1.0, 0.0)
         projections.append((u * sel) @ dagger(u))
-    distance = max(op_norm(p - e) for p, e in zip(projections, ops))
-    return projections, float(distance)
+    distance = max_op_norm(p - e for p, e in zip(projections, ops))[0]
+    return projections, distance
 
 
 def position_embedding_sweep(n_bins_list, trunc: FockTruncation, a: float = -3.0,
@@ -429,7 +430,7 @@ def position_embedding_sweep(n_bins_list, trunc: FockTruncation, a: float = -3.0
         projections, distance = repair_to_commuting_projections(family, seed=seed)
         labels = list(range(len(family)))
         embedding = pvm_embed(labels, projections, [{i} for i in range(len(effects))])
-        projectivity = max(op_norm(e @ e - e) for e in family)
+        projectivity = max_op_norm(e @ e - e for e in family)[0]
         rows.append({
             "parameter": int(n_bins),
             "residual": distance,

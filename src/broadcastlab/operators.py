@@ -5,6 +5,7 @@ of commuting families."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "op_norm",
     "trace_norm",
     "frob_norm",
+    "op_norm_exceeds",
+    "max_op_norm",
     "hs_inner",
     "vec",
     "unvec",
@@ -90,6 +93,88 @@ def trace_norm(a) -> float:
 
 def frob_norm(a) -> float:
     return float(np.linalg.norm(a))
+
+
+NORM_BOUND_SLACK = 2.0 ** -26
+"""Relative rounding margin of the Frobenius bounds on `op_norm`, valid for
+float64 and complex128 matrices of at most 64² entries whose Frobenius norm
+lies in [2^-480, 2^480].
+
+With u = 2^-53, N ≤ 4096 entries and r = min(m, n) ≤ 64 (so mn ≤ 4096):
+
+- `frob_norm` is sqrt(x_re·x_re + x_im·x_im), two real dot products of
+  length N (`nrm2`'s sum of squares). In any summation order, with or
+  without FMA, each is off by at most γ_N = Nu/(1 - Nu) relative; the sum and
+  the square root add one rounding each, so the norm is off by at most
+  γ_N/2 + 2u < 2^11.1 u. Inside [2^-480, 2^480] no square overflows, and
+  the squares that underflow add less than N·2^-1074 to a sum of at least
+  2^-960, under 2^-100 relative.
+- `np.linalg.svd` (LAPACK gesdd) bidiagonalizes by at most 2r Householder
+  reflections of length at most max(m, n), a backward error
+  ‖E‖_F ≤ 2r·γ̃_max(m,n)·‖A‖_F ≤ 2·16·mn·u·√r·‖A‖₂ ≤ 2^20 u·‖A‖₂
+  (Higham, *Accuracy and Stability of Numerical Algorithms*, Lemma 19.3,
+  taking the unnamed constant of γ̃ as 16). It then finds the bidiagonal's
+  singular values to relative accuracy 69r²u < 2^18.2 u (Demmel & Kahan
+  1990). By Weyl's inequality the computed largest singular value is within
+  2^20.4 u·‖A‖₂ of ‖A‖₂.
+- Forming a bound from the computed Frobenius norm takes at most three more
+  roundings.
+
+Together these stay below 2^20.5 u = 2^-32.5, which the margin 2^-26 covers
+ninetyfold. Since ‖A‖_F/√r ≤ ‖A‖₂ ≤ ‖A‖_F (Golub & Van Loan, *Matrix
+Computations*, §2.3), the computed f = `frob_norm(a)` gives
+(1 - slack)·f/√r ≤ `op_norm(a)` ≤ (1 + slack)·f."""
+
+_BOUND_MAX_ENTRIES = 64 * 64
+_BOUND_DTYPES = (np.dtype(float), np.dtype(complex))
+_BOUND_FLOOR = 2.0 ** -480
+_BOUND_CEIL = 2.0 ** 480
+
+
+def _op_norm_bounds(a: np.ndarray):
+    """(lo, hi) with lo <= op_norm(a) <= hi, from the Frobenius norm, or None
+    where `NORM_BOUND_SLACK` does not cover the rounding (another dtype, too
+    many entries, a norm that under- or overflows its squares, a non-finite
+    entry)."""
+    if a.dtype not in _BOUND_DTYPES or a.size > _BOUND_MAX_ENTRIES:
+        return None
+    f = frob_norm(a)
+    if not _BOUND_FLOOR <= f <= _BOUND_CEIL:
+        # an all-zero matrix has operator norm exactly 0.0
+        return (0.0, 0.0) if f == 0.0 and not a.any() else None
+    return (1.0 - NORM_BOUND_SLACK) * f / math.sqrt(min(a.shape)), (1.0 + NORM_BOUND_SLACK) * f
+
+
+def op_norm_exceeds(a, tol: float) -> bool:
+    """`op_norm(a) > tol`, taking the SVD only where the Frobenius bounds of
+    `NORM_BOUND_SLACK` do not decide it."""
+    a = np.atleast_2d(a)
+    bounds = _op_norm_bounds(a)
+    if bounds is not None:
+        if bounds[0] > tol:
+            return True
+        if bounds[1] <= tol:
+            return False
+    return op_norm(a) > tol
+
+
+def max_op_norm(mats) -> tuple[float, int | None]:
+    """Largest `op_norm` over `mats`, starting from 0.0, and the index of the
+    first matrix attaining it (None when no norm exceeds 0.0).
+
+    The value equals `max(op_norm(a) for a in mats)` bit for bit. The SVD is
+    skipped for every matrix whose Frobenius upper bound does not beat the
+    running maximum. `mats` is read once, one matrix at a time."""
+    best, arg = 0.0, None
+    for k, a in enumerate(mats):
+        a = np.atleast_2d(a)
+        bounds = _op_norm_bounds(a)
+        if bounds is not None and bounds[1] <= best:
+            continue
+        nrm = op_norm(a)
+        if nrm > best:
+            best, arg = nrm, k
+    return best, arg
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -176,10 +261,10 @@ class DiscretePOVM:
         if len(labels) != len(effs):
             raise OperatorError("labels and effects must have equal length")
         object.__setattr__(self, "labels", tuple(labels))
-        resid = op_norm(sum(effs) - np.eye(d))
-        if resid > self.tol:
+        resid = sum(effs) - np.eye(d)
+        if op_norm_exceeds(resid, self.tol):
             raise OperatorError(
-                f"POVM effects sum to identity only up to {resid:.3e} > {self.tol:.1e}"
+                f"POVM effects sum to identity only up to {op_norm(resid):.3e} > {self.tol:.1e}"
             )
 
     @property
@@ -249,15 +334,12 @@ def partial_transpose(a, dims, side: int = 1) -> np.ndarray:
 
 
 def commutator_defect(family) -> tuple[float, tuple[int, int]]:
-    """Largest pairwise commutator norm and the pair achieving it."""
+    """Largest pairwise commutator norm and the first pair achieving it
+    ((0, 0) when every pair commutes exactly)."""
     ops = [as_complex_matrix(a) for a in family]
-    worst, pair = 0.0, (0, 0)
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            nrm = op_norm(ops[i] @ ops[j] - ops[j] @ ops[i])
-            if nrm > worst:
-                worst, pair = nrm, (i, j)
-    return worst, pair
+    pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
+    worst, k = max_op_norm(ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in pairs)
+    return worst, (0, 0) if k is None else pairs[k]
 
 
 def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0,
@@ -276,28 +358,31 @@ def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0,
     if any(a.shape != (d, d) for a in ops):
         raise OperatorError("family members must share one dimension")
 
-    scale = max(1.0, max(op_norm(a) for a in ops) ** 2)
+    top = max_op_norm(ops)[0]
     worst, pair = commutator_defect(ops)
-    if worst > tol * scale:
+    if worst > tol * max(1.0, top ** 2):
         raise NotCommutingError(pair, worst)
 
-    if all(op_norm(a - np.diag(np.diag(a))) <= 1e-13 * max(1.0, op_norm(a)) for a in ops):
+    def offdiag(a):
+        return a - np.diag(np.diag(a))
+
+    # a norm at most 1e-13 passes 1e-13 * max(1, ||a||) whatever ||a|| is
+    if all(not op_norm_exceeds(offdiag(a), 1e-13)
+           or op_norm(offdiag(a)) <= 1e-13 * max(1.0, op_norm(a)) for a in ops):
         return np.eye(d, dtype=complex)
 
     rng = np.random.default_rng(seed)
-    best_u, best_resid = None, np.inf
+    draws = []
     for _ in range(max_attempts):
         coeffs = rng.standard_normal(len(ops))
         generic = sum(c * a for c, a in zip(coeffs, ops))
         _, u = np.linalg.eigh(generic)
-        resid = 0.0
-        for a in ops:
-            rot = dagger(u) @ a @ u
-            resid = max(resid, op_norm(rot - np.diag(np.diag(rot))))
-        if resid < best_resid:
-            best_u, best_resid = u, resid
-        if resid <= offdiag_tol * max(1.0, max(op_norm(a) for a in ops)):
+        if not any(op_norm_exceeds(offdiag(dagger(u) @ a @ u), offdiag_tol * max(1.0, top))
+                   for a in ops):
             return u
+        draws.append(u)
+    best_resid = min((max_op_norm(offdiag(dagger(u) @ a @ u) for a in ops)[0] for u in draws),
+                     default=np.inf)
     raise OperatorError(
         f"simultaneous diagonalization failed: off-diagonal residual {best_resid:.3e} "
         f"after {max_attempts} generic draws"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from families import random_density, random_eb_channel, random_hermitian, random_unitary
 
@@ -8,6 +10,7 @@ from broadcastlab.channels import (
     ChoiChannel,
     KrausChannel,
     MeasurePrepareChannel,
+    SymmetricLift,
     apply,
     channel_matrix,
     choi_to_kraus,
@@ -17,7 +20,10 @@ from broadcastlab.channels import (
     symmetrize,
 )
 from broadcastlab.operators import (
+    PSD_TOL,
+    TRACE_TOL,
     DiscretePOVM,
+    OperatorError,
     dagger,
     op_norm,
     partial_transpose,
@@ -232,6 +238,45 @@ def test_symmetric_lift_swap_symmetry_on_simple_tensors():
         a, b = random_hermitian(3, rng), random_hermitian(3, rng)
         np.testing.assert_allclose(lift.apply_heisenberg(np.kron(a, b)),
                                    lift.apply_heisenberg(np.kron(b, a)), atol=1e-13)
+
+
+def test_symmetric_lift_of_a_base_near_the_trace_tolerance():
+    """tr(s (x) s) = tr(s)^2 doubles the trace defect: the lift of a state
+    0.8e-10 off trace one is 1.6e-10 off, and is still a lift of a valid base."""
+    base = MeasurePrepareChannel(DiscretePOVM((np.eye(2),)), [np.diag([0.5, 0.5 + 0.8e-10])])
+    lift = SymmetricLift(base)
+    assert lift.d_out == 4
+    assert abs(np.trace(lift.states[0]).real - 1.0) > TRACE_TOL
+    np.testing.assert_array_equal(lift.states[0], np.kron(base.states[0], base.states[0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 0.8, 0.0, False, 0)
+@example(2, 0.0, 1.0, False, 0)  # eigenvalues -eps and 1 + eps: the lift has -eps (1 + eps)
+@example(2, 1.0, 1.0, False, 0)
+@example(8, 1.0, 1.0, False, 0)
+@example(8, -1.0, 1.0, True, 1)
+def test_symmetric_lift_accepts_the_lift_of_every_accepted_base(d, trace_offset, negativity,
+                                                                  rotate, seed):
+    """Base states with trace 1 + trace_offset * TRACE_TOL and a smallest
+    eigenvalue of -negativity * PSD_TOL, up to the edges of what the base
+    accepts: whenever the base accepts them, the lift accepts their squares."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(d))
+    if d > 1:
+        w[1:] *= (1.0 + negativity * PSD_TOL) / w[1:].sum()
+        w[0] = -negativity * PSD_TOL
+    w[-1] += trace_offset * TRACE_TOL
+    u = random_unitary(d, rng) if rotate else np.eye(d)
+    state = u @ np.diag(w) @ dagger(u)
+    try:
+        base = MeasurePrepareChannel(DiscretePOVM((np.eye(d),)), [state])
+    except OperatorError:  # rounding took the state past the base's own tolerance
+        assume(False)
+    lift = SymmetricLift(base)
+    assert (lift.d_in, lift.d_out) == (d, d * d)
 
 
 def test_measure_prepare_choi_is_ppt():

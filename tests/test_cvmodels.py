@@ -17,7 +17,8 @@ from broadcastlab.cvmodels import (
     shift_channel_study,
     sweep_rows_to_csv,
 )
-from broadcastlab.operators import OperatorError, dagger, frob_norm, op_norm
+from broadcastlab.operators import (OperatorError, as_effect, dagger, frob_norm, max_op_norm,
+                                    op_norm)
 
 
 def test_vacuum_element_is_half():
@@ -278,6 +279,44 @@ def test_repair_and_embed_binned_position():
             assert op_norm(p @ q) <= 1e-12
     emb = pvm_embed(list(range(5)), projections, [{0}, {1}, {2}, {3}])
     assert emb.max_fix_residual <= 1e-12
+
+
+def test_position_pvm_checks_take_no_svd(monkeypatch):
+    """On a valid 17-projection position PVM at 32 levels, the idempotency,
+    orthogonality, completeness and atom checks of `pvm_embed` are all decided
+    on Frobenius bounds; only the reported maximum takes SVDs."""
+    import broadcastlab.contextuality as ctx
+
+    effs, comp = binned_position_pvm(-3.0, 3.0, 16, FockTruncation(32))
+    projections, _ = repair_to_commuting_projections(effs + [comp])
+    projections = [as_effect(p) for p in projections]  # exactly Hermitian
+    svds = {"checks": 0, "maximum": 0}
+    where = ["checks"]
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        svds[where[-1]] += 1
+        return svd(*args, **kwargs)
+
+    def maximum(mats):
+        where.append("maximum")
+        try:
+            return max_op_norm(mats)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(ctx, "max_op_norm", maximum)
+    emb = pvm_embed(list(range(17)), projections, [{i} for i in range(16)])
+    monkeypatch.undo()
+    assert svds["checks"] == 0
+    assert 0 < svds["maximum"] <= 16
+    # the repair leaves some bins empty: their zero atoms are dropped, also
+    # without an SVD
+    assert len(emb.atom_effects) == sum(p.any() for p in projections) < 17
+    a_ks = [projections[i] for i in range(16)]
+    assert emb.max_fix_residual == max(op_norm(emb.channel.apply_heisenberg(a) - a)
+                                       for a in a_ks)
 
 
 def test_bin_refinement_sweep_residual_grows():

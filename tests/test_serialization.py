@@ -17,7 +17,7 @@ from broadcastlab.channels import (
     symmetric_lift,
 )
 from broadcastlab.cli import main
-from broadcastlab.operators import DiscretePOVM, as_density
+from broadcastlab.operators import DiscretePOVM, as_density, op_norm
 from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,
@@ -346,6 +346,18 @@ def test_symmetric_lift_json_is_its_base():
         assert got.tobytes() == want.tobytes()
 
 
+def test_symmetric_lift_reads_a_base_near_the_trace_tolerance():
+    """The base state reads alone; so does the lift holding it, whose state's
+    trace defect is twice the base's and beyond the base's tolerance."""
+    base = {"kind": "measure_prepare", "d_in": 2, "d_out": 2,
+            "povm": [operator_to_json(np.eye(2))],
+            "states": [operator_to_json(np.diag([0.5, 0.5 + 0.8e-10]))]}
+    channel_from_json(base)
+    lift = channel_from_json({"kind": "symmetric_lift", "d_in": 2, "d_out": 4, "base": base})
+    assert isinstance(lift, SymmetricLift)
+    assert np.trace(lift.states[0]).real == pytest.approx(1.0 + 1.6e-10, abs=1e-20)
+
+
 def test_symmetric_lift_reader_does_not_recurse_into_its_base():
     doc = channel_to_json(MeasurePrepareChannel(DiscretePOVM((np.eye(2),)), [np.eye(2) / 2]))
     for _ in range(10_000):
@@ -417,3 +429,106 @@ def test_channel_readers_end_in_a_documented_exit_code(channel, effects, epsilon
                 json.dump(doc, fh)
             code = main([subcommand, "--input", path, "--output", os.path.join(tmp, "r.json")])
             assert code in (0, 2, 3, 4)
+
+
+def _ops(*mats):
+    return [operator_to_json(m) for m in mats]
+
+
+_K0, _K1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_PLUS = np.full((2, 2), 0.5)
+_VALID_INPUTS = {
+    "check-states": [{"states": _ops(_K0, np.eye(2) / 2)}, {"states": _ops(_K0, _PLUS)},
+                     {"states": _ops(np.eye(1))}, {"states": _ops(np.eye(3) / 3)}],
+    "check-meas": [{"effects": _ops(_K0), "picture": "heisenberg"},
+                   {"effects": _ops(_K0, _PLUS), "picture": "schrodinger"},
+                   {"effects": _ops(np.eye(1))}],
+    "pvm-embed": [{"labels": ["a", "b"], "projections": _ops(_K0, _K1), "subsets": [["a"]]},
+                  {"labels": [0, 1, 2], "projections": _ops(*map(np.diag, np.eye(3))),
+                   "subsets": [[0, 1], [1, 2]]},
+                  {"labels": [7], "projections": _ops(np.eye(1)), "subsets": [[7], []]}],
+}
+
+
+@st.composite
+def _near_miss_inputs(draw, subcommand):
+    """A valid input document of `subcommand` with up to three edits: a field,
+    or an item of a list field, replaced by a value of the wrong kind or type,
+    deleted, or added."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_INPUTS[subcommand]))))
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+        edit = draw(st.sampled_from(["replace", "delete", "item"]))
+        if edit == "replace":
+            doc[key] = draw(_NEAR_VALUE | st.just(_VALID_CHANNELS[2]["povm"]))
+        elif edit == "delete":
+            doc.pop(key, None)
+        elif isinstance(doc.get(key), list) and doc[key]:
+            items = doc[key]
+            k = draw(st.integers(0, len(items) - 1))
+            items[k] = draw(_NEAR_VALUE | _OPERATOR_LIKE | st.sampled_from(items))
+    return doc
+
+
+def _exit_code(subcommand, doc, *extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return main([subcommand, "--input", path, "--output", os.path.join(tmp, "r.json"),
+                     *extra])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_VALID_INPUTS)).flatmap(
+    lambda sub: st.tuples(st.just(sub), _mostly(_near_miss_inputs(sub), _JSON))))
+@example(("check-states", {"states": [operator_to_json(np.eye(2) / 2)] * 3}))
+@example(("check-meas", {"effects": _ops(_K0), "picture": ["heisenberg"]}))
+@example(("pvm-embed", {"labels": [1, 1.0], "projections": _ops(_K0, _K1), "subsets": [[1]]}))
+def test_operator_readers_end_in_a_documented_exit_code(case):
+    """Arbitrary JSON and near-miss documents for the three subcommands that
+    read operator lists: every run ends in a verdict or a documented error."""
+    subcommand, doc = case
+    assert _exit_code(subcommand, doc, *(["--budget", "20"] if subcommand == "check-meas"
+                                         else [])) in (0, 2, 3, 4)
+
+
+def _pvm_near_miss(defect, eta):
+    """A qubit PVM {p0, p1} in a rotated basis, moved by eta off being
+    idempotent, orthogonal or complete; with the exact SVD-form verdict of
+    the three checks of `pvm_embed` at tol = 1e-10."""
+    u = random_unitary(2, np.random.default_rng(17))
+    p0, p1 = u @ _K0 @ u.conj().T, u @ _K1 @ u.conj().T
+    if defect == "idempotent":    # (1 - eta) p0 and p1 + eta p0: each eta (1 - eta) off
+        p0, p1 = (1 - eta) * p0, p1 + eta * p0
+    elif defect == "orthogonal":  # p1 turned by eta towards p0
+        c, s = np.cos(eta), np.sin(eta)
+        v = u @ np.array([s, c])
+        p1 = np.outer(v, v.conj())
+    else:                         # p1 shrunk by eta: the sum misses eta p1
+        p1 = (1 - eta) * p1
+    p0, p1 = 0.5 * (p0 + p0.conj().T), 0.5 * (p1 + p1.conj().T)
+    ok = (max(op_norm(p @ p - p) for p in (p0, p1)) <= 1e-10
+          and op_norm(p0 @ p1) <= 1e-10 and op_norm(p0 + p1 - np.eye(2)) <= 1e-10)
+    return {"labels": [0, 1], "projections": _ops(p0, p1), "subsets": [[0]]}, ok
+
+
+@pytest.mark.parametrize("defect", ["idempotent", "orthogonal", "complete"])
+@pytest.mark.parametrize("factor", [0.5, 0.9, 0.999, 1.001, 1.1, 1.3, 2.0])
+def test_pvm_embed_near_misses_follow_the_svd_verdict(defect, factor):
+    """Defects from half to twice the tolerance: below tol / sqrt(2) and above
+    tol * sqrt(2) the Frobenius bounds decide, between them the SVD does; the
+    input is refused (exit 2) exactly when the SVD form refuses it. An
+    accepted input can still fail the embedding's own 1e-12 fixed-point gate
+    (exit 4)."""
+    doc, ok = _pvm_near_miss(defect, factor * 1e-10)
+    if factor in (0.5, 2.0):
+        assert ok == (factor < 1)
+    assert _exit_code("pvm-embed", doc) in ((0, 4) if ok else (2,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["idempotent", "orthogonal", "complete"]), st.floats(0.0, 3e-10))
+def test_pvm_embed_near_miss_fuzz_follows_the_svd_verdict(defect, eta):
+    doc, ok = _pvm_near_miss(defect, eta)
+    assert _exit_code("pvm-embed", doc) in ((0, 4) if ok else (2,))

@@ -54,63 +54,6 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 
-# --tol default of each subcommand that reads a tolerance, recorded in the
-# report's config; the others take no --tol and record a null tol
-_DEFAULT_TOL = {
-    "fixpoints": 1e-9,
-    "check-states": 1e-9,
-    "check-meas": 1e-7,
-    "pvm-embed": 1e-10,
-}
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process; `parse_args` returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="broadcastlab",
-        description="Entanglement-breaking fixed points, broadcasting algebras, "
-                    "and contextuality deciders.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, needs_input):
-        p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
-        p.add_argument("--output", default=None, help="report path (default stdout)")
-        if name in _DEFAULT_TOL:
-            p.add_argument("--tol", type=float, default=_DEFAULT_TOL[name], help="tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized routines")
-        p.add_argument("--budget", type=int, default=20000, help="iteration budget")
-        p.add_argument("--levels", type=int, default=24, help="Fock truncation levels")
-        p.add_argument("--bins", type=int, default=None,
-                       help="position bins (default: sweep 2,4,8,16)")
-        p.add_argument("--csv", default=None, help="also write sweep rows as CSV")
-        return p
-
-    for name in ("fixpoints", "check-states", "check-meas", "pvm-embed", "approx-check"):
-        add(name, needs_input=True)
-    for name in ("cv-q", "cv-shift", "cv-position"):
-        add(name, needs_input=False)
-    return parser
-
-
-def _config_dict(args) -> dict:
-    return {
-        "subcommand": args.subcommand,
-        "input": getattr(args, "input", None),
-        "output": args.output,
-        "tol": getattr(args, "tol", None),
-        "seed": args.seed,
-        "budget": args.budget,
-        "levels": args.levels,
-        "bins": args.bins,
-        "dimension_cap": dimension_cap(),
-        "version": __version__,
-    }
-
 
 def _load_operators(path, key, validate, required, optional=()):
     doc = load_json_file(path)
@@ -139,15 +82,10 @@ def _run_check_meas(args) -> dict:
     picture = doc.get("picture", "heisenberg")
     problem = FeasibilityProblem(effects, picture=picture, budget=args.budget, tol=args.tol)
     verdict = check_measurements_feasibility(problem)
-    witness = None
-    if verdict.witness_channel is not None:
-        witness = channel_to_json(verdict.witness_channel)
-    elif verdict.witness_choi is not None:
-        witness = {"kind": "choi", "d_in": problem.dim, "d_out": problem.dim,
-                   "matrix": operator_to_json(verdict.witness_choi)}
     return {
         "verdict": verdict.status,
-        "witness": witness,
+        "witness": (channel_to_json(verdict.witness_channel)
+                    if verdict.witness_channel is not None else None),
         "residuals": list(verdict.residual_history),
         "final_residuals": verdict.final_residuals,
         "cycles": verdict.cycles,
@@ -245,9 +183,8 @@ def _run_cv_shift(args) -> dict:
 
 def _run_cv_position(args) -> dict:
     trunc = FockTruncation(args.levels)
-    bins_list = [args.bins] if args.bins is not None else [2, 4, 8, 16]
-    args.bins = bins_list if len(bins_list) > 1 else bins_list[0]
-    rows = position_embedding_sweep(bins_list, trunc, seed=args.seed)
+    bins = args.bins if isinstance(args.bins, tuple) else (args.bins,)
+    rows = position_embedding_sweep(bins, trunc, seed=args.seed)
     return {
         "levels": args.levels,
         "seed": args.seed,
@@ -257,21 +194,70 @@ def _run_cv_position(args) -> dict:
     }
 
 
-_RUNNERS = {
-    "check-states": _run_check_states,
-    "check-meas": _run_check_meas,
-    "pvm-embed": _run_pvm_embed,
-    "approx-check": _run_approx_check,
-    "fixpoints": _run_fixpoints,
-    "cv-q": _run_cv_q,
-    "cv-shift": _run_cv_shift,
-    "cv-position": _run_cv_position,
+# The one declaration of the subcommands: name -> (runner, {option: default}).
+# The parser offers each subcommand exactly the options its runner reads, and
+# `--input`, where present, is required.
+SUBCOMMANDS = {
+    "fixpoints": (_run_fixpoints, {"input": None, "output": None, "tol": 1e-9, "seed": 0}),
+    "check-states": (_run_check_states,
+                     {"input": None, "output": None, "tol": 1e-9, "seed": 0}),
+    "check-meas": (_run_check_meas,
+                   {"input": None, "output": None, "tol": 1e-7, "budget": 20000}),
+    "pvm-embed": (_run_pvm_embed, {"input": None, "output": None, "tol": 1e-10}),
+    "approx-check": (_run_approx_check, {"input": None, "output": None}),
+    "cv-q": (_run_cv_q, {"output": None, "levels": 24, "seed": 0, "csv": None}),
+    "cv-shift": (_run_cv_shift, {"output": None, "levels": 24, "seed": 0, "csv": None}),
+    "cv-position": (_run_cv_position, {"output": None, "levels": 24, "bins": (2, 4, 8, 16),
+                                       "seed": 0, "csv": None}),
+}
+
+# type and help of each option, in the order a report's config lists them
+_OPTIONS = {
+    "input": (str, "input JSON file"),
+    "output": (str, "report path (default stdout)"),
+    "tol": (float, "tolerance"),
+    "seed": (int, "seed for randomized routines"),
+    "budget": (int, "iteration budget"),
+    "levels": (int, "Fock truncation levels"),
+    "bins": (int, "position bins (default: sweep 2,4,8,16)"),
+    "csv": (str, "also write sweep rows as CSV"),
 }
 
 
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; `parse_args` returns a fresh namespace."""
+    parser = argparse.ArgumentParser(
+        prog="broadcastlab",
+        description="Entanglement-breaking fixed points, broadcasting algebras, "
+                    "and contextuality deciders.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (_, options) in SUBCOMMANDS.items():
+        p = sub.add_parser(name)
+        for option, default in options.items():
+            kind, help_text = _OPTIONS[option]
+            p.add_argument(f"--{option}", type=kind, default=default,
+                           required=option == "input", help=help_text)
+    return parser
+
+
+def _config_dict(args) -> dict:
+    # null for each option the subcommand does not read; the CSV path is not recorded
+    return {
+        "subcommand": args.subcommand,
+        **{option: getattr(args, option, None) for option in _OPTIONS if option != "csv"},
+        "dimension_cap": dimension_cap(),
+        "version": __version__,
+    }
+
+
 def run(args) -> dict:
-    result = _RUNNERS[args.subcommand](args)
-    return {"config": _config_dict(args), "seed": args.seed, "result": result}
+    runner, _ = SUBCOMMANDS[args.subcommand]
+    result = runner(args)
+    config = _config_dict(args)
+    return {"config": config, "seed": config["seed"], "result": result}
 
 
 def main(argv=None) -> int:
@@ -310,8 +296,9 @@ def main(argv=None) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    if args.csv and "sweep_rows" in report.get("result", {}):
-        with open(args.csv, "w", encoding="utf-8") as fh:
+    csv_path = getattr(args, "csv", None)
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write(sweep_rows_to_csv(report["result"]["sweep_rows"]))
     return EXIT_OK
 

@@ -15,6 +15,7 @@ from .channels import (ChannelError, ChoiChannel, MeasurePrepareChannel, Symmetr
                        choi_to_kraus)
 from .config import DimensionCapError, dimension_cap
 from .operators import (
+    PSD_TOL,
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
@@ -201,16 +202,22 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
         if not set(kk) <= label_set:
             raise OperatorError(f"subset {k} uses labels outside the outcome alphabet")
 
-    # single-PVM check at atom level: idempotent, mutually orthogonal, complete
+    # single-PVM check at atom level: idempotent, mutually orthogonal, complete;
+    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b)
+    defect = 0.0
     for i, p in enumerate(projs):
-        if op_norm_exceeds(p @ p - p, tol):
+        r = p @ p - p
+        if op_norm_exceeds(r, tol):
             raise OperatorError(f"outcome {labels[i]!r} is not a projection")
+        defect = max(defect, frob_norm(r))
         for j in range(i + 1, len(projs)):
-            if op_norm_exceeds(p @ projs[j], tol):
+            r = p @ projs[j]
+            if op_norm_exceeds(r, tol):
                 raise OperatorError(
                     f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
                     "inputs are not effects of a single PVM"
                 )
+            defect = max(defect, frob_norm(r))
     if op_norm_exceeds(sum(projs) - np.eye(d), tol):
         raise OperatorError("atom-level projections do not sum to the identity")
 
@@ -235,6 +242,8 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
         eff = sum(proj_by_label[lab] for lab in labels if lab in atom_labels[v])
         if op_norm_exceeds(eff, tol):
             kept.append((v, frozenset(atom_labels[v]), eff))
+        else:
+            defect = max(defect, frob_norm(eff))
 
     atom_effects = tuple(e for _, _, e in kept)
     states = tuple(e / np.real(np.trace(e)) for e in atom_effects)
@@ -250,8 +259,18 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
     a_ks = (sum((proj_by_label[lab] for lab in labels if lab in kk),
                 np.zeros((d, d), dtype=complex)) for kk in subset_sets)
     worst = max_op_norm(channel.apply_heisenberg(a_k) - a_k for a_k in a_ks)[0]
-    if worst > 1e-12:
-        raise RuntimeError(f"partition embedding fixed-point residual {worst:.3e} > 1e-12")
+    # Gate: with atoms E_v (kept or dropped) of |v| of the L labels and A_k the sum
+    # of those inside K_k, Phi*(A_k) - A_k = sum_kept (n_vk / tr E_v) E_v - (dropped
+    # atoms inside K_k), n_vk = tr(E_v A_k) - [v inside K_k] tr E_v. n_vk sums at most
+    # |v|·L traces of a P_a P_b (a != b) or P_a^2 - P_a, each <= sqrt(d)·defect;
+    # s_v = E_v / tr E_v passed the density check, so ||E_v|| <= |tr E_v|·(1 + d·PSD_TOL);
+    # a dropped atom has ||E_v|| <= defect. So the exact residual is at most
+    # ((1 + d·PSD_TOL)·sqrt(d)·L² + L)·defect, plus rounding: the 1e-12 that was the
+    # whole gate before, and still is for an exact PVM (defect 0).
+    n_labels = len(labels)
+    gate = 1e-12 + ((1.0 + d * PSD_TOL) * np.sqrt(d) * n_labels ** 2 + n_labels) * defect
+    if worst > gate:
+        raise RuntimeError(f"partition embedding fixed-point residual {worst:.3e} > {gate:.3e}")
 
     return PartitionEmbedding(
         atom_sets=tuple((v, s) for v, s, _ in kept),
@@ -426,8 +445,7 @@ class FeasibilityProblem:
 @dataclass(frozen=True)
 class MeasSetVerdict:
     status: str  # "feasible" | "infeasible_stalled" | "inconclusive"
-    witness_choi: np.ndarray | None
-    witness_channel: MeasurePrepareChannel | None
+    witness_channel: MeasurePrepareChannel | ChoiChannel | None  # Choi form if not rank one
     residual_history: tuple
     final_residuals: dict
     cycles: int
@@ -515,25 +533,24 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
                 status = "infeasible_stalled"
                 break
 
-    witness_matrix = j
     witness_channel = None
     verification: dict = {}
     if status == "feasible":
-        verification = _verify_witness(problem, witness_matrix)
+        verification = _verify_witness(problem, j)
         if verification["max_residual"] > 100.0 * problem.tol:
             raise RuntimeError(
                 "solver reported feasibility but independent verification "
                 f"found residual {verification['max_residual']:.3e}"
             )
         # the checks above passed at 100 * tol, so this constructor accepts the matrix
-        choi = ChoiChannel(witness_matrix, d, d, tol=max(1e-8, 100.0 * problem.tol))
+        choi = ChoiChannel(j, d, d, tol=max(1e-8, 100.0 * problem.tol))
         witness_channel = _rank_one_regroup(choi)
         if witness_channel is None:
+            witness_channel = choi
             notes.append("measure-prepare extraction unavailable; witness kept in Choi form")
 
     return MeasSetVerdict(
         status=status,
-        witness_choi=witness_matrix if status == "feasible" else None,
         witness_channel=witness_channel,
         residual_history=tuple(history),
         final_residuals=res,

@@ -46,21 +46,17 @@ __all__ = [
 FOCK_LEVEL_CAP = 64
 
 
-def _check_levels(n: int) -> int:
-    if n > FOCK_LEVEL_CAP:
-        raise OperatorError(f"{n} levels exceed the cap {FOCK_LEVEL_CAP}")
-    return n
-
-
 @dataclass(frozen=True)
 class FockTruncation:
-    """Photon-number truncation to levels 0..levels-1."""
+    """Photon-number truncation to levels 0..levels-1, at most `FOCK_LEVEL_CAP`."""
 
     levels: int
 
     def __post_init__(self):
         if self.levels < 2:
             raise OperatorError(f"need at least 2 levels, got {self.levels}")
+        if self.levels > FOCK_LEVEL_CAP:
+            raise OperatorError(f"{self.levels} levels exceed the cap {FOCK_LEVEL_CAP}")
 
 
 def _sector_coords(n: int):
@@ -211,7 +207,7 @@ def qchannel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Coherent-state smoothing channel restricted to the truncation window.
 
     Entries follow `qchannel_element` term by term, from a log-factorial table."""
-    n = _check_levels(trunc.levels)
+    n = trunc.levels
     first, second, valid = _sector_coords(n)
     s, p, q = np.nonzero(valid[:, :, None] & valid[:, None, :])
     m, nn, j, k = first[s, p], second[s, p], first[s, q], second[s, q]
@@ -282,7 +278,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
 def shift_channel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Shift channel with absorbing boundary: populations move one level up,
     mass at the top level leaves the window, coherences are discarded."""
-    n = _check_levels(trunc.levels)
+    n = trunc.levels
     action = np.zeros((2 * n - 1, n, n), dtype=complex)
     action[n - 1, np.arange(1, n), np.arange(n - 1)] = 1.0
     return TruncatedChannel(action, n)
@@ -446,6 +442,5 @@ def sweep_rows_to_csv(rows) -> str:
     writer = csv.DictWriter(buf, fieldnames=["parameter", "residual",
                                              "window_distance", "trace_defect"])
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()

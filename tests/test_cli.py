@@ -160,7 +160,7 @@ def test_field_of_wrong_json_type_exits_2(tmp_path, subcommand, doc):
     assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
 
 
-@pytest.mark.parametrize("subcommand", ["cv-q", "cv-shift"])
+@pytest.mark.parametrize("subcommand", ["cv-q", "cv-shift", "cv-position"])
 def test_cv_level_cap_exits_2(subcommand, capsys):
     assert main([subcommand, "--levels", "65"]) == 2
     assert "exceed the cap 64" in capsys.readouterr().err
@@ -260,9 +260,9 @@ def test_report_embeds_effective_configuration(commuting_states_file, tmp_path):
 @pytest.mark.parametrize("subcommand", ["check-meas", "fixpoints"])
 def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, subcommand, tol):
     out = tmp_path / "report.json"
-    argv = [subcommand, "--tol", tol, "--output", str(out), "--budget", "50"]
+    argv = [subcommand, "--tol", tol, "--output", str(out)]
     if subcommand == "check-meas":
-        argv += ["--input", _write(tmp_path, "pvm.json", {"effects": _PINCH_2})]
+        argv += ["--input", _write(tmp_path, "pvm.json", {"effects": _PINCH_2}), "--budget", "50"]
     else:
         argv += ["--input", _write(tmp_path, "fix.json", {"channel": _PINCH_CHANNEL})]
     assert main(argv) == 2
@@ -284,10 +284,70 @@ def test_tol_refused_where_no_tolerance_is_read(tmp_path, capsys, subcommand):
     assert not out.exists()
 
 
+# the options each subcommand reads; the others are refused and recorded as null
+_READ = {
+    "fixpoints": {"input", "output", "tol", "seed"},
+    "check-states": {"input", "output", "tol", "seed"},
+    "check-meas": {"input", "output", "tol", "budget"},
+    "pvm-embed": {"input", "output", "tol"},
+    "approx-check": {"input", "output"},
+    "cv-q": {"output", "levels", "seed", "csv"},
+    "cv-shift": {"output", "levels", "seed", "csv"},
+    "cv-position": {"output", "levels", "bins", "seed", "csv"},
+}
+# (subcommand, option) for each of seed, budget, levels, bins, csv it does not read
+_UNREAD = [(sub, opt) for sub, read in _READ.items()
+           for opt in ("seed", "budget", "levels", "bins", "csv") if opt not in read]
+# a small valid input document for each subcommand that takes --input
+_MINIMAL_INPUTS = {
+    "fixpoints": {"channel": _PINCH_CHANNEL},
+    "check-states": {"states": [operator_to_json(np.diag([0.5, 0.5]))]},
+    "check-meas": {"effects": _PINCH_2},
+    "pvm-embed": {"labels": [0, 1], "subsets": [[0]], "projections": _PINCH_2},
+    "approx-check": {"effects": _PINCH_2, "epsilon": 0.1, "channel": _PINCH_CHANNEL},
+}
+
+
+def test_settable_values_are_the_options_each_subcommand_reads():
+    from broadcastlab.cli import SUBCOMMANDS
+
+    assert {sub: set(options) for sub, (_, options) in SUBCOMMANDS.items()} == _READ
+    assert sum(map(len, _READ.values())) == 30
+    assert len(_UNREAD) == 27
+
+
+@pytest.mark.parametrize("subcommand, option", _UNREAD)
+def test_option_a_subcommand_does_not_read_is_refused(tmp_path, capsys, subcommand, option):
+    out, rows = tmp_path / "report.json", tmp_path / "rows.csv"
+    value = {"seed": "4", "budget": "5", "levels": "4", "bins": "2", "csv": str(rows)}[option]
+    argv = [subcommand, f"--{option}", value, "--output", str(out)]
+    if subcommand in _MINIMAL_INPUTS:
+        argv += ["--input", _write(tmp_path, "doc.json", _MINIMAL_INPUTS[subcommand])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{option}" in capsys.readouterr().err
+    assert not out.exists() and not rows.exists()
+
+
 def test_config_tol_is_null_where_no_tolerance_is_read(tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["cv-position", "--levels", "4", "--bins", "2", "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["config"]["tol"] is None
+    """Every config field of an option the subcommand does not read is null,
+    every other one holds the value in effect, and the top-level seed is the
+    config's."""
+    for subcommand, read in _READ.items():
+        out = tmp_path / f"{subcommand}.json"
+        argv = [subcommand, "--output", str(out)]
+        if subcommand in _MINIMAL_INPUTS:
+            argv += ["--input", _write(tmp_path, "doc.json", _MINIMAL_INPUTS[subcommand])]
+        if "levels" in read:
+            argv += ["--levels", "4"]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        config = report["config"]
+        for option in ("input", "output", "tol", "seed", "budget", "levels", "bins"):
+            assert (config[option] is None) == (option not in read), (subcommand, option)
+        assert report["seed"] == config["seed"]
+        assert "csv" not in config
 
 
 def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
@@ -296,7 +356,8 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
     def exhausted(args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._RUNNERS, "check-meas", exhausted)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "check-meas",
+                        (exhausted, cli.SUBCOMMANDS["check-meas"][1]))
     path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
     assert main(["check-meas", "--input", path]) == 3
     assert "resource limit" in capsys.readouterr().err
@@ -340,8 +401,9 @@ def test_booleans_and_floats_are_not_numbers_or_sizes(tmp_path, capsys, subcomma
 def test_unencodable_report_exits_4_without_output(tmp_path, capsys, monkeypatch):
     import broadcastlab.cli as cli
 
-    monkeypatch.setitem(cli._RUNNERS, "cv-position",
-                        lambda args: {"residuals": [0.5, float("nan")]})
+    monkeypatch.setitem(cli.SUBCOMMANDS, "cv-position",
+                        (lambda args: {"residuals": [0.5, float("nan")]},
+                         cli.SUBCOMMANDS["cv-position"][1]))
     out = tmp_path / "report.json"
     assert main(["cv-position", "--output", str(out)]) == 4
     assert "numerical failure: report cannot be encoded" in capsys.readouterr().err
@@ -410,10 +472,10 @@ def test_parser_reuse_keeps_default_configuration(tmp_path):
 
     fresh = fixpoints_config()
     assert main(["check-meas", "--input", meas_path, "--budget", "5", "--tol", "1e-3",
-                 "--seed", "4", "--output", str(tmp_path / "meas.json")]) == 0
+                 "--output", str(tmp_path / "meas.json")]) == 0
     again = fixpoints_config()
     assert again == fresh
-    assert (again["budget"], again["seed"], again["tol"]) == (20000, 0, 1e-9)
+    assert (again["budget"], again["seed"], again["tol"]) == (None, 0, 1e-9)
 
 
 @pytest.mark.parametrize("d", [2, 3, 8])
@@ -478,3 +540,18 @@ def test_symmetric_lift_channel_exits_2(tmp_path, capsys, subcommand):
         doc.update(effects=_PINCH_2, epsilon=0.1)
     assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
     assert "error: invalid input" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    """Every `broadcastlab ...` line of the README's command block parses, and
+    together they cover every subcommand."""
+    from pathlib import Path
+
+    from broadcastlab.cli import SUBCOMMANDS, _build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split()[1:] for line in block.splitlines() if line.startswith("broadcastlab ")]
+    for argv in lines:
+        assert _build_parser().parse_args(argv).subcommand == argv[0]
+    assert {argv[0] for argv in lines} == set(SUBCOMMANDS)

@@ -190,6 +190,32 @@ def test_pvm_embed_rejects_non_pvm_and_blowup():
         pvm_embed([0, 0, 1, 2], projs, [{0}])
 
 
+@pytest.mark.parametrize("shift, fails", [(5e-13, False), (2e-12, True)])
+def test_pvm_embed_gate_stays_1e_12_for_an_exact_pvm(monkeypatch, shift, fails):
+    """Exact 0/1 projections measure no defect, so the fixed-point gate is 1e-12:
+    a Heisenberg image moved by `shift` passes below it and fails above it."""
+    apply = MeasurePrepareChannel.apply_heisenberg
+    monkeypatch.setattr(MeasurePrepareChannel, "apply_heisenberg",
+                        lambda self, a: apply(self, a) + shift * np.eye(len(a)))
+    projs = [np.diag(row) for row in np.eye(3)]
+    if fails:
+        with pytest.raises(RuntimeError, match="fixed-point residual"):
+            pvm_embed("xyz", projs, [{"x", "y"}])
+    else:
+        assert pvm_embed("xyz", projs, [{"x", "y"}]).max_fix_residual == pytest.approx(shift)
+
+
+@pytest.mark.parametrize("eta", [1e-9, 1e-8, 1e-7])
+def test_pvm_embed_accepted_defect_ends_in_the_embedding(eta):
+    """Projections (1 - eta) p0 and p1 + eta p0 are eta (1 - eta) off idempotent
+    and orthogonal; accepted at tol = 1e-6, they embed with a residual of about
+    eta, far above 1e-12 but inside the gate the measured defects give."""
+    u = random_unitary(2, np.random.default_rng(17))
+    p0, p1 = u @ np.diag([1.0, 0.0]) @ u.conj().T, u @ np.diag([0.0, 1.0]) @ u.conj().T
+    emb = pvm_embed([0, 1], [(1 - eta) * p0, p1 + eta * p0], [{0}], tol=1e-6)
+    assert emb.max_fix_residual == pytest.approx(eta, rel=1e-3)
+
+
 # -- measurement feasibility -------------------------------------------------
 
 
@@ -219,7 +245,7 @@ def test_feasibility_zx_union_stalls():
     verdict = check_measurements_feasibility(problem)
     assert verdict.status == "infeasible_stalled"
     assert min(verdict.residual_history) >= 1e-3
-    assert verdict.witness_choi is None
+    assert verdict.witness_channel is None
     assert any("PPT exact" in n for n in verdict.notes)
 
 

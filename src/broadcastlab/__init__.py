@@ -52,6 +52,7 @@ from .contextuality import (  # noqa: F401
     broadcaster_from_commuting,
     check_measurements_feasibility,
     check_states,
+    decide_measurements,
     extend_effect_functional,
     pvm_embed,
 )

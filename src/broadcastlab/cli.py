@@ -19,10 +19,9 @@ from . import __version__
 from .config import DimensionCapError, dimension_cap
 from .contextuality import (
     ApproxCheckResult,
-    FeasibilityProblem,
     approx_check,
-    check_measurements_feasibility,
     check_states,
+    decide_measurements,
     pvm_embed,
 )
 from .cvmodels import (
@@ -80,8 +79,7 @@ def _run_check_states(args) -> dict:
 def _run_check_meas(args) -> dict:
     effects, doc = _load_operators(args.input, "effects", as_effect, ("effects",), ("picture",))
     picture = doc.get("picture", "heisenberg")
-    problem = FeasibilityProblem(effects, picture=picture, budget=args.budget, tol=args.tol)
-    verdict = check_measurements_feasibility(problem)
+    verdict = decide_measurements(effects, picture=picture, budget=args.budget, tol=args.tol)
     return {
         "verdict": verdict.status,
         "witness": (channel_to_json(verdict.witness_channel)

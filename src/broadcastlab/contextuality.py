@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChannelError, ChoiChannel, MeasurePrepareChannel, SymmetricLift,
-                       choi_to_kraus)
+from .channels import ChoiChannel, MeasurePrepareChannel, SymmetricLift
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     PSD_TOL,
@@ -44,6 +43,7 @@ __all__ = [
     "pvm_embed",
     "FeasibilityProblem",
     "MeasSetVerdict",
+    "decide_measurements",
     "check_measurements_feasibility",
     "ApproxCheckResult",
     "approx_check",
@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 PPT_NOTE = "PPT exact for 2x2 and 2x3, relaxation otherwise"
+PINCHING_NOTE = ("witness: the pinching onto a common eigenbasis of the effects, "
+                 "measure-and-prepare and hence entanglement breaking")
 # cycles between two progress records of the Dykstra search
 PROGRESS_EVERY = 100
 
@@ -75,11 +77,11 @@ class StateSetVerdict:
     notes: tuple = ()
 
 
-def _pinching_witness(u):
-    """Pinching channel onto the common eigenbasis and its symmetric lift, the broadcaster."""
+def _pinching_witness(u) -> MeasurePrepareChannel:
+    """Pinching channel onto the orthonormal basis given by the columns of `u`:
+    Lambda(X) = sum_k <k|X|k> |k><k|, measure-and-prepare and its own dual."""
     projections = [u[:, k:k + 1] @ dagger(u[:, k:k + 1]) for k in range(u.shape[1])]
-    witness = MeasurePrepareChannel(DiscretePOVM(tuple(projections)), projections)
-    return witness, SymmetricLift(witness)
+    return MeasurePrepareChannel(DiscretePOVM(tuple(projections)), projections)
 
 
 def _koashi_imoto_note(states, u) -> str:
@@ -119,7 +121,8 @@ def check_states(states, tol: float = 1e-9, seed: int = 0,
                                commutator_norm=defect)
 
     u = simultaneous_diagonalize(rhos, tol=tol, seed=seed)
-    witness, broadcaster = _pinching_witness(u)
+    witness = _pinching_witness(u)
+    broadcaster = SymmetricLift(witness)
 
     fix_resid = max(trace_norm(witness.apply_schrodinger(r) - r) for r in rhos)
     if fix_resid > fix_tol:
@@ -218,7 +221,8 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
                     "inputs are not effects of a single PVM"
                 )
             defect = max(defect, frob_norm(r))
-    if op_norm_exceeds(sum(projs) - np.eye(d), tol):
+    complete = sum(projs) - np.eye(d)
+    if op_norm_exceeds(complete, tol):
         raise OperatorError("atom-level projections do not sum to the identity")
 
     proj_by_label = dict(zip(labels, projs))
@@ -245,10 +249,20 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
         else:
             defect = max(defect, frob_norm(eff))
 
+    # The kept atoms form a POVM up to bound = c + L·defect, c = ||sum_a P_a - I||_F,
+    # for the L labels (norms in exact arithmetic; the operator norm is at most the
+    # Frobenius norm). A negative eigenvalue l of P_a has |l| <= l² - l <= defect, so
+    # P_a >= -defect. Hence E_v = sum_{a in v} P_a >= -|v|·defect, and
+    # E_v = I + (sum_a P_a - I) - sum_{b not in v} P_b <= (1 + c + (L - |v|)·defect) I.
+    # sum_kept E_v - I is sum_a P_a - I minus the dropped atoms, each of norm at most
+    # defect. So spectra lie in [-bound, 1 + bound] and the sum is within bound of I.
+    # Checked at max(PSD_TOL, 2·bound), at least PSD_TOL / 2 is left for rounding;
+    # an exact PVM, with c and defect at rounding level, keeps the PSD_TOL check.
+    povm_tol = max(PSD_TOL, 2.0 * (frob_norm(complete) + len(labels) * defect))
     atom_effects = tuple(e for _, _, e in kept)
     states = tuple(e / np.real(np.trace(e)) for e in atom_effects)
     channel = MeasurePrepareChannel(
-        DiscretePOVM(atom_effects, labels=tuple(v for v, _, _ in kept)), states
+        DiscretePOVM(atom_effects, labels=tuple(v for v, _, _ in kept), tol=povm_tol), states
     )
 
     index_sets = tuple(
@@ -355,6 +369,32 @@ def _constraint_rows(effects, picture: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+class _Effects(tuple):
+    """Effects that `_checked_effects` has already passed through `as_effect`."""
+
+
+def _checked_effects(effects, picture: str, budget: int, cap: int | None = None) -> _Effects:
+    """The effects as validated arrays, after the checks every measurement-set
+    decision makes before any work: at least one effect, one shared d x d shape,
+    d^2 within the dimension cap, a known picture and a positive cycle budget.
+    Effects it returned earlier are not converted again; the cheap checks rerun."""
+    if not isinstance(effects, _Effects):
+        effects = _Effects(as_effect(e) for e in effects)
+    if not effects:
+        raise OperatorError("need at least one effect")
+    d = effects[0].shape[0]
+    if any(e.shape != (d, d) for e in effects):
+        raise OperatorError("effects must share one dimension")
+    cap = cap if cap is not None else dimension_cap()
+    if d * d > cap:
+        raise DimensionCapError(f"d^2 = {d * d} exceeds cap {cap}")
+    if picture not in ("heisenberg", "schrodinger"):
+        raise ValueError(f"unknown picture {picture!r}")
+    if int(budget) < 1:
+        raise ValueError(f"budget must be a positive cycle count, got {budget}")
+    return effects
+
+
 class FeasibilityProblem:
     """Affine-plus-cone description of the EB fixed-point search.
 
@@ -377,22 +417,11 @@ class FeasibilityProblem:
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
                  tol: float = 1e-7, stall_window: int = 500, cap: int | None = None):
-        self.effects = tuple(as_effect(e) for e in effects)
-        if not self.effects:
-            raise OperatorError("need at least one effect")
+        self.effects = _checked_effects(effects, picture, budget, cap)
         d = self.effects[0].shape[0]
-        if any(e.shape != (d, d) for e in self.effects):
-            raise OperatorError("effects must share one dimension")
-        cap = cap if cap is not None else dimension_cap()
-        if d * d > cap:
-            raise DimensionCapError(f"d^2 = {d * d} exceeds cap {cap}")
-        if picture not in ("heisenberg", "schrodinger"):
-            raise ValueError(f"unknown picture {picture!r}")
         self.dim = d
         self.picture = picture
         self.budget = int(budget)
-        if self.budget < 1:
-            raise ValueError(f"budget must be a positive cycle count, got {budget}")
         self.tol = float(tol)
         self.stall_window = int(stall_window)
 
@@ -445,7 +474,8 @@ class FeasibilityProblem:
 @dataclass(frozen=True)
 class MeasSetVerdict:
     status: str  # "feasible" | "infeasible_stalled" | "inconclusive"
-    witness_channel: MeasurePrepareChannel | ChoiChannel | None  # Choi form if not rank one
+    # the pinching (measure-and-prepare) or the Dykstra loop's Choi matrix
+    witness_channel: MeasurePrepareChannel | ChoiChannel | None
     residual_history: tuple
     final_residuals: dict
     cycles: int
@@ -453,23 +483,44 @@ class MeasSetVerdict:
     verification: dict = field(default_factory=dict)
 
 
-def _rank_one_regroup(choi: ChoiChannel, tol: float = 1e-6) -> MeasurePrepareChannel | None:
-    """Measure-prepare form from a Choi matrix whose Kraus operators are rank one."""
+def decide_measurements(effects, picture: str = "heisenberg", budget: int = 20000,
+                        tol: float = 1e-7) -> MeasSetVerdict:
+    """Decide whether an entanglement-breaking channel fixes the effects.
+
+    Commuting effects are decided exactly, before any Dykstra cycle.  The
+    pinching onto a common eigenbasis, Lambda(X) = sum_k <k|X|k> |k><k|, is
+    measure-and-prepare and its own dual, and it fixes every operator that is
+    diagonal in that basis, in both pictures.  It is accepted when
+    `_verify_witness` reads at most `tol`, the loop's own stopping level.  Every
+    other set, and a pinching that misses `tol`, goes to
+    `check_measurements_feasibility` on a `FeasibilityProblem` built from the
+    same arguments.  The input is validated once, first, with the problem's
+    own checks, so both paths refuse the same inputs.
+    """
+    effects = _checked_effects(effects, picture, budget)
     try:
-        kraus = choi_to_kraus(choi, tol=1e-9).kraus_ops
-    except ChannelError:
-        return None
-    effects, states = [], []
-    for k in kraus:
-        u, s, vh = np.linalg.svd(k)
-        if len(s) > 1 and s[1] > tol * s[0]:
-            return None
-        effects.append((s[0] ** 2) * np.outer(vh[0].conj(), vh[0]))
-        states.append(np.outer(u[:, 0], u[:, 0].conj()))
-    try:
-        return MeasurePrepareChannel(DiscretePOVM(tuple(effects), tol=1e-6), states)
-    except (OperatorError, ValueError):
-        return None
+        u = simultaneous_diagonalize(effects, tol=1e-9, seed=0)
+    except OperatorError:  # the effects do not commute, or no common basis was found
+        pass
+    else:
+        witness = _pinching_witness(u)
+        verification = _verify_witness(effects, picture, witness.choi().matrix)
+        if verification["max_residual"] <= tol:
+            return MeasSetVerdict(
+                status="feasible",
+                witness_channel=witness,
+                residual_history=(verification["max_residual"],),
+                final_residuals={
+                    "psd": max(0.0, -verification["min_eigenvalue"]),
+                    "ppt": max(0.0, -verification["min_ppt_eigenvalue"]),
+                    "affine": max(verification["trace_preservation"], *verification["fixing"]),
+                },
+                cycles=0,
+                notes=(PPT_NOTE, PINCHING_NOTE),
+                verification=verification,
+            )
+    return check_measurements_feasibility(
+        FeasibilityProblem(effects, picture=picture, budget=budget, tol=tol))
 
 
 def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdict:
@@ -493,8 +544,8 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     projections = {"psd": problem.project_psd, "ppt": problem.project_ppt}
 
     notes = [PPT_NOTE]
-    if d > 3:
-        notes.append("d > 3: PPT feasibility does not certify an entanglement-breaking witness")
+    if d >= 3:  # the Choi matrix lives on C^d (x) C^d; PPT is separability only for 2 x 2
+        notes.append("d >= 3: PPT feasibility does not certify an entanglement-breaking witness")
 
     history = []
     res = problem.residuals(j)
@@ -536,18 +587,14 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     witness_channel = None
     verification: dict = {}
     if status == "feasible":
-        verification = _verify_witness(problem, j)
+        verification = _verify_witness(problem.effects, problem.picture, j)
         if verification["max_residual"] > 100.0 * problem.tol:
             raise RuntimeError(
                 "solver reported feasibility but independent verification "
                 f"found residual {verification['max_residual']:.3e}"
             )
         # the checks above passed at 100 * tol, so this constructor accepts the matrix
-        choi = ChoiChannel(j, d, d, tol=max(1e-8, 100.0 * problem.tol))
-        witness_channel = _rank_one_regroup(choi)
-        if witness_channel is None:
-            witness_channel = choi
-            notes.append("measure-prepare extraction unavailable; witness kept in Choi form")
+        witness_channel = ChoiChannel(j, d, d, tol=max(1e-8, 100.0 * problem.tol))
 
     return MeasSetVerdict(
         status=status,
@@ -560,16 +607,17 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     )
 
 
-def _verify_witness(problem: FeasibilityProblem, j: np.ndarray) -> dict:
-    """Constraint check of a Choi witness, independent of the solver loop."""
-    d = problem.dim
+def _verify_witness(effects, picture: str, j: np.ndarray) -> dict:
+    """Constraint check of a Choi witness `j` for the d x d `effects` in
+    `picture`, independent of the solver loop."""
+    d = effects[0].shape[0]
     jh = 0.5 * (j + dagger(j))
     w, wt = _eigvalsh(np.stack((jh, partial_transpose(jh, (d, d), side=1))))
     tp = op_norm(partial_trace(jh, (d, d), side=2) - np.eye(d))
     fixing = []
     eye = np.eye(d)
-    for e in problem.effects:
-        if problem.picture == "heisenberg":
+    for e in effects:
+        if picture == "heisenberg":
             img = partial_trace(jh @ np.kron(eye, e), (d, d), side=2).T
         else:
             img = partial_trace(jh @ np.kron(e.T, eye), (d, d), side=1)

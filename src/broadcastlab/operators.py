@@ -138,7 +138,8 @@ def _op_norm_bounds(a: np.ndarray):
     entry)."""
     if a.dtype not in _BOUND_DTYPES or a.size > _BOUND_MAX_ENTRIES:
         return None
-    f = frob_norm(a)
+    with np.errstate(over="ignore"):  # squares past 2^1024 give inf, refused below
+        f = frob_norm(a)
     if not _BOUND_FLOOR <= f <= _BOUND_CEIL:
         # an all-zero matrix has operator norm exactly 0.0
         return (0.0, 0.0) if f == 0.0 and not a.any() else None
@@ -193,19 +194,31 @@ def unvec(v: np.ndarray, d_row: int, d_col: int | None = None) -> np.ndarray:
 
 
 def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Symmetrize to (A + A^dagger)/2, rejecting drift beyond tol * ||A||_op.
+    """Symmetrize to (A + A^dagger)/2, rejecting a residual ||A - H||_op beyond
+    tol * max(1, ||A||_op).
 
     When (A + A^dagger)/2 equals A entry for entry, the residual A - H is
-    exactly 0 and passes the test at any scale, so neither norm is taken."""
+    exactly 0 and passes the test at any scale, so neither norm is taken.
+    Otherwise the Frobenius bounds of `_op_norm_bounds` decide where they can:
+    hi(A - H) <= tol * max(1, lo(A)) accepts and lo(A - H) > tol * max(1, hi(A))
+    refuses, as the SVD form would. The SVDs are taken where the bounds do not
+    decide, for the residual a refusal reports, and for the DEBUG record."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise OperatorError(f"expected a square matrix, got {a.shape}")
     h = 0.5 * (a + dagger(a))
     if tol >= 0.0 and (h == a).all():
         return h
-    scale = max(op_norm(a), 1.0)
-    resid = op_norm(a - h)
-    if resid > tol * scale:
+    r = a - h
+    refused = False
+    if not _log.isEnabledFor(logging.DEBUG):
+        bounds_a, bounds_r = _op_norm_bounds(a), _op_norm_bounds(r)
+        if bounds_a is not None and bounds_r is not None:
+            if bounds_r[1] <= tol * max(1.0, bounds_a[0]):
+                return h
+            refused = bounds_r[0] > tol * max(1.0, bounds_a[1])
+    resid = op_norm(r)
+    if refused or resid > tol * max(op_norm(a), 1.0):
         raise OperatorError(
             f"matrix is not Hermitian: anti-Hermitian residual {resid:.3e} "
             f"exceeds {tol:.1e} * scale"

@@ -89,6 +89,29 @@ def test_check_meas_feasible(tmp_path):
     assert "residuals" in report["result"]
 
 
+@pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
+def test_check_meas_commuting_set_decided_by_pinching(tmp_path, picture):
+    """A commuting set ends feasible before any Dykstra cycle, with the
+    pinching onto a common eigenbasis as its measure-and-prepare witness."""
+    u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+    effects = [u @ np.diag(ev) @ u.T for ev in ((0.75, 0.5, 0.25, 0.0), (0.1, 0.1, 0.8, 0.8))]
+    path = _write(tmp_path, "commuting.json", {
+        "effects": [operator_to_json(e) for e in effects], "picture": picture})
+    out = tmp_path / "report.json"
+    assert main(["check-meas", "--input", path, "--output", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["verdict"] == "feasible"
+    assert result["cycles"] == 0
+    assert result["witness"]["kind"] == "measure_prepare"
+    assert result["residuals"] == [result["verification"]["max_residual"]]
+    assert result["verification"]["max_residual"] <= 1e-7
+    assert sorted(result["final_residuals"]) == ["affine", "ppt", "psd"]
+    assert len(result["notes"]) == 2 and "pinching" in result["notes"][1]
+    witness = channel_from_json(result["witness"])
+    for e in effects:
+        assert np.abs(witness.apply_heisenberg(e) - e).max() <= 1e-7
+
+
 def test_check_meas_stalled_still_exits_0(tmp_path):
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -364,12 +387,14 @@ def test_memory_error_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_memory_error_in_witness_extraction_exits_3(tmp_path, capsys, monkeypatch):
+    """A MemoryError raised while `check-meas` builds the pinching witness of a
+    commuting set is a resource limit, not a fall-through to the loop."""
     import broadcastlab.contextuality as contextuality
 
-    def exhausted(choi, tol=1e-12):
+    def exhausted(family, tol=1e-9, seed=0):
         raise MemoryError
 
-    monkeypatch.setattr(contextuality, "choi_to_kraus", exhausted)
+    monkeypatch.setattr(contextuality, "simultaneous_diagonalize", exhausted)
     path = _write(tmp_path, "pvm.json", {"effects": _PINCH_2})
     assert main(["check-meas", "--input", path, "--output", str(tmp_path / "r.json")]) == 3
     assert "resource limit" in capsys.readouterr().err

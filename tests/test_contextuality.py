@@ -1,24 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from families import (
+    commuting_pair,
     random_commuting_states,
     random_density,
     random_eb_channel,
     random_noncommuting_states,
     random_pvm,
     random_unitary,
+    rotated_mub_effects,
 )
 
-from broadcastlab.channels import MeasurePrepareChannel, choi_transform
-from broadcastlab.config import DimensionCapError
+from broadcastlab.channels import ChoiChannel, MeasurePrepareChannel, choi_transform
+from broadcastlab.config import CAP_ENV_VAR, DimensionCapError
 from broadcastlab.contextuality import (
+    PINCHING_NOTE,
+    PPT_NOTE,
     AxiomViolationError,
     FeasibilityProblem,
     approx_check,
     broadcaster_from_commuting,
     check_measurements_feasibility,
     check_states,
+    decide_measurements,
     extend_effect_functional,
     pvm_embed,
 )
@@ -26,6 +33,8 @@ from broadcastlab.operators import (
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
+    as_effect,
+    commutator_defect,
     dagger,
     hermitian_basis,
     op_norm,
@@ -282,6 +291,164 @@ def test_pvm_embed_effects_feasible():
     effects = [sum(projs[i] for i in kk) for kk in ({0, 1}, {2})]
     verdict = check_measurements_feasibility(FeasibilityProblem(effects))
     assert verdict.status == "feasible"
+
+
+# -- measurement sets decided by their pinching --------------------------------
+
+EB_NOTE = "d >= 3: PPT feasibility does not certify an entanglement-breaking witness"
+
+
+@st.composite
+def _commuting_effects(draw):
+    """Effects diagonal in one Haar-random basis of C^d, d = 2..6: a PVM, or one
+    to four effects whose spectra are uniform or drawn from a few levels, so
+    that eigenvalues repeat within and across the effects."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    picture = draw(st.sampled_from(["heisenberg", "schrodinger"]))
+    if draw(st.booleans()):
+        return random_pvm(d, rng), picture
+    levels = draw(st.sampled_from([None, (0.0, 1.0), (0.0, 0.5, 1.0), (0.25, 0.75)]))
+    spectra = [rng.uniform(0.0, 1.0, d) if levels is None else rng.choice(levels, d)
+               for _ in range(draw(st.integers(1, 4)))]
+    return commuting_pair(spectra, rng), picture
+
+
+@settings(max_examples=60, deadline=None)
+@given(_commuting_effects())
+def test_commuting_effects_are_decided_by_their_pinching(case):
+    effects, picture = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CAP_ENV_VAR, "36")  # d = 6 is over the default cap
+        verdict = decide_measurements(effects, picture=picture)
+    assert verdict.status == "feasible"
+    assert verdict.cycles == 0
+    witness = verdict.witness_channel
+    assert isinstance(witness, MeasurePrepareChannel) and witness.kind == "measure_prepare"
+    assert verdict.verification["max_residual"] <= 1e-7
+    assert verdict.residual_history == (verdict.verification["max_residual"],)
+    assert verdict.notes == (PPT_NOTE, PINCHING_NOTE)
+    # the pinching is its own dual: it fixes every effect in both pictures
+    for e in effects:
+        assert op_norm(witness.apply_heisenberg(e) - e) <= 1e-7
+        assert op_norm(witness.apply_schrodinger(e) - e) <= 1e-7
+
+
+def test_pinching_verdict_reports_the_verification():
+    effects = commuting_pair(((0.9, 0.6, 0.3, 0.1), (0.2, 0.5, 0.7, 0.95)),
+                             np.random.default_rng(60))
+    verdict = decide_measurements(effects)
+    v = verdict.verification
+    assert verdict.final_residuals == {
+        "psd": max(0.0, -v["min_eigenvalue"]),
+        "ppt": max(0.0, -v["min_ppt_eigenvalue"]),
+        "affine": max(v["trace_preservation"], *v["fixing"]),
+    }
+    assert v["max_residual"] == max(verdict.final_residuals.values())
+    assert v["max_residual"] <= 1e-13
+
+
+def test_set_off_the_commutator_threshold_takes_the_loop():
+    """A commuting pair with one effect turned by 1e-4 fails the commutator test
+    and gets the loop's verdict, cycle for cycle."""
+    e0, e1 = np.diag([0.9, 0.2]).astype(complex), np.diag([0.3, 0.6]).astype(complex)
+    turn = np.cos(1e-4) * np.eye(2) + 1j * np.sin(1e-4) * np.array([[0.0, 1.0], [1.0, 0.0]])
+    effects = [e0, turn @ e1 @ dagger(turn)]
+    assert commutator_defect(effects)[0] > 1e-9
+    decided = decide_measurements(effects, budget=3000)
+    looped = check_measurements_feasibility(FeasibilityProblem(effects, budget=3000))
+    assert decided.cycles > 0
+    assert (decided.status, decided.cycles, decided.residual_history) == (
+        looped.status, looped.cycles, looped.residual_history)
+
+
+def test_pinching_that_misses_tol_takes_the_loop():
+    """The pinching is accepted at `tol` only; below its rounding the loop
+    decides, cycle for cycle as on its own."""
+    effects = commuting_pair(((0.75, 0.5), (0.1, 0.8)), np.random.default_rng(3))
+    decided = decide_measurements(effects, tol=1e-300, budget=40)
+    looped = check_measurements_feasibility(FeasibilityProblem(effects, tol=1e-300, budget=40))
+    assert (decided.status, decided.cycles) == ("inconclusive", 40)
+    assert decided.residual_history == looped.residual_history
+
+
+def _trine_pair():
+    """X_k = |k><k| (+) Y_k for k = 0, 1 at d = 5, Y_k the qubit trine POVM on
+    span{|3>, |4>}: fixed by the measure-and-prepare channel with POVM
+    {X_0, X_1, X_2} and states |k><k|, though X_0 and X_1 do not commute."""
+    effects = []
+    for k in range(2):
+        v = np.array([np.cos(2 * np.pi * k / 3), np.sin(2 * np.pi * k / 3)])
+        x = np.zeros((5, 5), dtype=complex)
+        x[k, k] = 1.0
+        x[3:, 3:] = (2.0 / 3.0) * np.outer(v, v)
+        effects.append(x)
+    return effects
+
+
+def test_noncommuting_feasible_pair_runs_the_loop():
+    effects = _trine_pair()
+    assert commutator_defect(effects)[0] > 0.1
+    verdict = decide_measurements(effects)
+    assert verdict.status == "feasible"
+    assert verdict.cycles > 0
+    assert isinstance(verdict.witness_channel, ChoiChannel)
+    assert verdict.verification["max_residual"] <= 1e-5
+    assert verdict.notes == (PPT_NOTE, EB_NOTE)
+
+
+def test_fall_through_validates_each_effect_once(monkeypatch):
+    import broadcastlab.contextuality as contextuality
+
+    calls = []
+
+    def counted(e, *args, **kwargs):
+        calls.append(e)
+        return as_effect(e, *args, **kwargs)
+
+    monkeypatch.setattr(contextuality, "as_effect", counted)
+    effects = _trine_pair()
+    verdict = decide_measurements(effects, budget=5)
+    assert verdict.cycles == 5
+    assert len(calls) == len(effects)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rotated_mub_sets_reach_the_loop_unchanged(d):
+    """The EB caveat starts at d = 3, where the Choi matrix lives on 3 (x) 3."""
+    effects = rotated_mub_effects(d, np.random.default_rng(70 + d))
+    decided = decide_measurements(effects)
+    looped = check_measurements_feasibility(FeasibilityProblem(effects))
+    assert decided.status == looped.status == "infeasible_stalled"
+    assert decided.cycles == looped.cycles
+    assert decided.residual_history == looped.residual_history
+    assert decided.notes == looped.notes
+    assert (EB_NOTE in decided.notes) == (d >= 3)
+
+
+def test_qubit_zx_stall_carries_no_eb_caveat():
+    verdict = decide_measurements([KET0, KET1, PLUS, MINUS])
+    assert verdict.status == "infeasible_stalled"
+    assert verdict.notes == (PPT_NOTE,)
+
+
+@pytest.mark.parametrize("kwargs, cap, error", [
+    ({"effects": []}, None, OperatorError),
+    ({"effects": [KET0, np.eye(3)]}, None, OperatorError),
+    ({"effects": [np.eye(3)]}, "8", DimensionCapError),
+    ({"effects": [KET0, KET1], "picture": "sideways"}, None, ValueError),
+    ({"effects": [KET0, KET1], "budget": 0}, None, ValueError),
+])
+def test_decide_measurements_refuses_what_the_problem_refuses(kwargs, cap, error, monkeypatch):
+    """Commuting or not, an input the feasibility problem refuses is refused
+    before the pinching is tried."""
+    if cap is not None:
+        monkeypatch.setenv(CAP_ENV_VAR, cap)
+    with pytest.raises(error):
+        decide_measurements(**kwargs)
+    effects = kwargs.pop("effects")
+    with pytest.raises(error):
+        FeasibilityProblem(effects, **kwargs)
 
 
 # -- epsilon-criterion -------------------------------------------------------

@@ -209,7 +209,7 @@ def test_spectra_exact_beside_entries_far_below_the_rest(tiny):
     res = problem.residuals(x)
     assert res["psd"] == pytest.approx(np.linalg.norm(x - problem.project_psd(x)), abs=1e-12)
     assert res["ppt"] == pytest.approx(np.linalg.norm(x - problem.project_ppt(x)), abs=1e-12)
-    checked = _verify_witness(problem, x)
+    checked = _verify_witness(problem.effects, problem.picture, x)
     assert checked["min_eigenvalue"] == pytest.approx(np.linalg.eigh(x)[0][0], abs=1e-12)
     pt = partial_transpose(x, (2, 2), side=1)
     assert checked["min_ppt_eigenvalue"] == pytest.approx(np.linalg.eigh(pt)[0][0], abs=1e-12)

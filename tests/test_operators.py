@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from families import random_density, random_hermitian, random_unitary
 
 from broadcastlab.channels import ChannelError, ChoiChannel, KrausChannel, swap_unitary
 from broadcastlab.operators import (
+    HERMITICITY_TOL,
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
@@ -418,3 +420,78 @@ def test_simdiag_failure_reports_smallest_residual_of_its_draws():
         rots = [dagger(u) @ a @ u for a in fam]
         best = min(best, max(op_norm(r - np.diag(np.diag(r))) for r in rots))
     assert f"off-diagonal residual {best:.3e} after 4 generic draws" in str(err.value)
+
+
+def _as_hermitian_reference(a, tol):
+    """The SVD form of `as_hermitian`: (A + A^dagger)/2 and whether it is
+    accepted, A - H against tol * max(1, ||A||_op) in two SVDs."""
+    h = 0.5 * (a + dagger(a))
+    if tol >= 0.0 and (h == a).all():
+        return h, True
+    return h, not op_norm(a - h) > tol * max(op_norm(a), 1.0)
+
+
+@st.composite
+def _near_hermitian(draw):
+    """H + c K, H Hermitian and K anti-Hermitian with ||K||_op = 1, c a multiple
+    of tol * max(1, ||H||) around the thresholds of both the SVD and the
+    Frobenius bounds, at scales from 2^-500 to 2^500."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    h = draw(st.sampled_from([0.0, 2.0 ** -500, 2.0 ** -30, 1.0, 2.0 ** 30, 2.0 ** 500]))
+    h = h * random_hermitian(n, rng)
+    k = 1j * random_hermitian(n, rng)
+    k /= op_norm(k)
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-6, 0.5, -1e-12]))
+    factor = draw(st.sampled_from([0.0, 1e-6, 0.5, 1 - 1e-15, 1.0, 1 + 1e-15, 2.0,
+                                   1 / math.sqrt(n), math.sqrt(n), 1e6]))
+    return h + factor * max(tol, 1e-12) * max(1.0, op_norm(h)) * k, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_hermitian())
+@example((np.diag([1.0, 2.0]) + 1e-14j * np.array([[0.0, 1.0], [1.0, 0.0]]), 1e-12))
+@example((np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1e-12))
+@example((np.eye(2, dtype=complex), -1e-12))
+@example((2.0 ** 500 * np.eye(2) + 1e6 * 2.0 ** 500 * np.array([[0, 1j], [1j, 0]]), 0.5))
+def test_as_hermitian_equals_svd_form(case):
+    """Also without a RuntimeWarning where the squares of the Frobenius norm
+    overflow: the bounds then leave the decision to the SVD."""
+    a, tol = case
+    want, ok = _as_hermitian_reference(a, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if not ok:
+            with pytest.raises(OperatorError, match="not Hermitian"):
+                as_hermitian(a, tol=tol)
+            return
+        got = as_hermitian(a, tol=tol)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_as_hermitian_takes_no_svd_where_the_bounds_decide(monkeypatch, caplog):
+    """A residual far inside the bound is accepted without an SVD; one far
+    outside is refused with one, for the residual the message reports; the
+    DEBUG record takes both norms."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return op_norm(a)
+
+    rng = np.random.default_rng(10)
+    h = random_hermitian(6, rng)
+    k = 1j * random_hermitian(6, rng)
+    k /= op_norm(k)
+    monkeypatch.setattr("broadcastlab.operators.op_norm", counted)
+    inside = h + 1e-3 * HERMITICITY_TOL * k
+    np.testing.assert_array_equal(as_hermitian(inside), 0.5 * (inside + dagger(inside)))
+    assert calls == []
+    with pytest.raises(OperatorError, match=r"residual 1\.000e-03"):
+        as_hermitian(h + 1e-3 * k)
+    assert len(calls) == 1
+    calls.clear()
+    with caplog.at_level(logging.DEBUG, logger="broadcastlab.operators"):
+        as_hermitian(inside)
+    assert len(calls) == 2
+    assert any("absorbed residual" in r.getMessage() for r in caplog.records)

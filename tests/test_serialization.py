@@ -493,10 +493,10 @@ def test_operator_readers_end_in_a_documented_exit_code(case):
                                          else [])) in (0, 2, 3, 4)
 
 
-def _pvm_near_miss(defect, eta):
+def _pvm_near_miss(defect, eta, tol=1e-10):
     """A qubit PVM {p0, p1} in a rotated basis, moved by eta off being
     idempotent, orthogonal or complete; with the exact SVD-form verdict of
-    the three checks of `pvm_embed` at tol = 1e-10."""
+    the three checks of `pvm_embed` at `tol`."""
     u = random_unitary(2, np.random.default_rng(17))
     p0, p1 = u @ _K0 @ u.conj().T, u @ _K1 @ u.conj().T
     if defect == "idempotent":    # (1 - eta) p0 and p1 + eta p0: each eta (1 - eta) off
@@ -508,8 +508,8 @@ def _pvm_near_miss(defect, eta):
     else:                         # p1 shrunk by eta: the sum misses eta p1
         p1 = (1 - eta) * p1
     p0, p1 = 0.5 * (p0 + p0.conj().T), 0.5 * (p1 + p1.conj().T)
-    ok = (max(op_norm(p @ p - p) for p in (p0, p1)) <= 1e-10
-          and op_norm(p0 @ p1) <= 1e-10 and op_norm(p0 + p1 - np.eye(2)) <= 1e-10)
+    ok = (max(op_norm(p @ p - p) for p in (p0, p1)) <= tol
+          and op_norm(p0 @ p1) <= tol and op_norm(p0 + p1 - np.eye(2)) <= tol)
     return {"labels": [0, 1], "projections": _ops(p0, p1), "subsets": [[0]]}, ok
 
 
@@ -524,6 +524,19 @@ def test_pvm_embed_near_misses_follow_the_svd_verdict(defect, factor):
     if factor in (0.5, 2.0):
         assert ok == (factor < 1)
     assert _exit_code("pvm-embed", doc) in ((0,) if ok else (2,))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+@pytest.mark.parametrize("defect", ["idempotent", "orthogonal", "complete"])
+@pytest.mark.parametrize("factor", [0.5, 0.9, 0.999, 1.001, 1.1, 1.3, 2.0])
+def test_pvm_embed_near_misses_at_larger_tol_follow_the_svd_verdict(defect, factor, tol):
+    """The same grid at --tol 1e-6 and 1e-3: a near miss that passes the three
+    checks at `tol` also passes the atom POVM's check, whose tolerance follows
+    the measured defects, and ends in the embedded verdict (exit 0)."""
+    doc, ok = _pvm_near_miss(defect, factor * tol, tol)
+    if factor in (0.5, 2.0):
+        assert ok == (factor < 1)
+    assert _exit_code("pvm-embed", doc, "--tol", repr(tol)) in ((0,) if ok else (2,))
 
 
 @settings(max_examples=60, deadline=None)

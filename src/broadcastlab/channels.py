@@ -17,6 +17,7 @@ from .operators import (
     op_norm,
     op_norm_exceeds,
     partial_trace,
+    square_family,
     vec,
     unvec,
 )
@@ -58,7 +59,7 @@ class KrausChannel:
 
     kind = "kraus"
 
-    def __init__(self, kraus_ops, tol: float = TP_TOL):
+    def __init__(self, kraus_ops):
         ops = [as_complex_matrix(k) for k in kraus_ops]
         if not ops:
             raise ChannelError("a Kraus channel needs at least one operator")
@@ -66,10 +67,10 @@ class KrausChannel:
         if any(k.shape != (d_out, d_in) for k in ops):
             raise ChannelError("Kraus operators must share one shape")
         resid = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
-        if op_norm_exceeds(resid, tol):
+        if op_norm_exceeds(resid, TP_TOL):
             raise ChannelError(
                 "Kraus operators are not trace preserving: "
-                f"residual {op_norm(resid):.3e} > {tol:.1e}"
+                f"residual {op_norm(resid):.3e} > {TP_TOL:.1e}"
             )
         self.kraus_ops = ops
         self.d_in = d_in
@@ -131,15 +132,16 @@ class MeasurePrepareChannel:
 
     kind = "measure_prepare"
 
-    def __init__(self, povm, states, labels=None):
-        self.povm = povm if isinstance(povm, DiscretePOVM) else DiscretePOVM(tuple(povm), labels)
-        self.states = tuple(as_density(s) for s in states)
-        if len(self.states) != len(self.povm):
+    def __init__(self, povm: DiscretePOVM, states):
+        self._prepare(povm, (as_density(s) for s in states))
+
+    def _prepare(self, povm: DiscretePOVM, states):
+        """Take `povm` and the `states`, each already checked as a density
+        operator: one per effect, all of one shape."""
+        self.states, self.d_out = square_family(states, "prepared state", ChannelError)
+        if len(self.states) != len(povm):
             raise ChannelError("need exactly one prepared state per POVM effect")
-        self.d_in = self.povm.dim
-        self.d_out = self.states[0].shape[0]
-        if any(s.shape != (self.d_out, self.d_out) for s in self.states):
-            raise ChannelError("prepared states must share one dimension")
+        self.povm, self.d_in = povm, povm.dim
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = as_complex_matrix(rho)
@@ -184,12 +186,10 @@ class SymmetricLift(MeasurePrepareChannel):
         # and the eigensolver round by at most a further 8 d^2 ulps.
         d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
         rounding = 8.0 * d * d * np.finfo(float).eps
-        self.povm = base.povm
-        self.states = tuple(
+        self._prepare(base.povm, (
             as_density(np.kron(s, s), psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                        trace_tol=delta * (2.0 + delta) + rounding)
-            for s in base.states)
-        self.d_in, self.d_out = d, d * d
+            for s in base.states))
         self.base = base
 
     # the two methods below only delegate: the benchmark tracer wraps the
@@ -226,12 +226,12 @@ def choi_from_superoperator(m, d_in: int, d_out: int) -> np.ndarray:
     return blocks.transpose(2, 0, 3, 1).reshape(d_in * d_out, d_in * d_out)
 
 
-def choi_to_kraus(choi: ChoiChannel, tol: float = 1e-12) -> KrausChannel:
-    """Kraus operators from the Choi eigendecomposition, keeping eigenvalues > tol."""
+def choi_to_kraus(choi: ChoiChannel) -> KrausChannel:
+    """Kraus operators from the Choi eigendecomposition, keeping eigenvalues > 1e-12."""
     w, v = np.linalg.eigh(choi.matrix)
     kraus = []
     for lam, col in zip(w[::-1], v[:, ::-1].T):
-        if lam <= tol:
+        if lam <= 1e-12:
             break
         kraus.append(np.sqrt(lam) * unvec(col, choi.d_in, choi.d_out).T)
     if not kraus:

@@ -32,6 +32,7 @@ from .operators import (
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
+    square_family,
     trace_norm,
 )
 
@@ -57,6 +58,8 @@ PINCHING_NOTE = ("witness: the pinching onto a common eigenbasis of the effects,
                  "measure-and-prepare and hence entanglement breaking")
 # cycles between two progress records of the Dykstra search
 PROGRESS_EVERY = 100
+# cycles without relative progress after which the Dykstra search reports a stall
+STALL_WINDOW = 500
 
 _log = logging.getLogger(__name__)
 
@@ -99,8 +102,7 @@ def _koashi_imoto_note(states, u) -> str:
             "multiplicity factors all one-dimensional (commuting case)")
 
 
-def check_states(states, tol: float = 1e-9, seed: int = 0,
-                 fix_tol: float = 1e-9, marginal_tol: float = 1e-10) -> StateSetVerdict:
+def check_states(states, tol: float = 1e-9, seed: int = 0) -> StateSetVerdict:
     """Decide whether a state set admits an entanglement-breaking fixed-point
     explanation, i.e. whether it is pairwise commuting.
 
@@ -108,12 +110,7 @@ def check_states(states, tol: float = 1e-9, seed: int = 0,
     state and the broadcasting channel reproducing both marginals; confirming
     sets report the offending pair and its commutator norm.
     """
-    rhos = [as_density(r) for r in states]
-    if not rhos:
-        raise OperatorError("need at least one state")
-    d = rhos[0].shape[0]
-    if any(r.shape != (d, d) for r in rhos):
-        raise OperatorError("states must share one dimension")
+    rhos, d = square_family((as_density(r) for r in states), "state", OperatorError)
 
     defect, pair = commutator_defect(rhos)
     if defect > tol:
@@ -125,7 +122,7 @@ def check_states(states, tol: float = 1e-9, seed: int = 0,
     broadcaster = SymmetricLift(witness)
 
     fix_resid = max(trace_norm(witness.apply_schrodinger(r) - r) for r in rhos)
-    if fix_resid > fix_tol:
+    if fix_resid > 1e-9:
         raise RuntimeError(
             f"pinching witness fails to fix an input state: residual {fix_resid:.3e}"
         )
@@ -134,7 +131,7 @@ def check_states(states, tol: float = 1e-9, seed: int = 0,
         out = broadcaster.apply_schrodinger(r)
         marg = max(marg, trace_norm(partial_trace(out, (d, d), side=2) - r))
         marg = max(marg, trace_norm(partial_trace(out, (d, d), side=1) - r))
-    if marg > marginal_tol:
+    if marg > 1e-10:
         raise RuntimeError(f"broadcaster marginal residual {marg:.3e} exceeds tolerance")
 
     return StateSetVerdict(
@@ -176,8 +173,7 @@ class PartitionEmbedding:
     max_fix_residual: float
 
 
-def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
-              max_subsets: int = 20) -> PartitionEmbedding:
+def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbedding:
     """Embed PVM effects A(K_1)..A(K_n) as exact fixed points of an EB channel.
 
     `labels` and `projections` give the underlying discrete PVM at atom level;
@@ -187,19 +183,16 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
     kept atom gets the maximally mixed state on its range.
     """
     labels = list(labels)
-    projs = [as_effect(p) for p in projections]
+    projs, d = square_family((as_effect(p) for p in projections), "projection", OperatorError)
     if len(labels) != len(projs):
         raise OperatorError("one projection per outcome label is required")
-    if not projs:
-        raise OperatorError("need at least one outcome")
     if len(set(labels)) != len(labels):
         raise OperatorError("outcome labels must be distinct")
     n = len(subsets)
     if n < 1:
         raise OperatorError("need at least one subset")
-    if n > max_subsets:
-        raise OperatorError(f"{n} subsets exceed the atom blow-up guard ({max_subsets})")
-    d = projs[0].shape[0]
+    if n > 20:
+        raise OperatorError(f"{n} subsets exceed the atom blow-up guard (20)")
     label_set = set(labels)
     for k, kk in enumerate(subsets):
         if not set(kk) <= label_set:
@@ -260,10 +253,15 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
     # an exact PVM, with c and defect at rounding level, keeps the PSD_TOL check.
     povm_tol = max(PSD_TOL, 2.0 * (frob_norm(complete) + len(labels) * defect))
     atom_effects = tuple(e for _, _, e in kept)
-    states = tuple(e / np.real(np.trace(e)) for e in atom_effects)
-    channel = MeasurePrepareChannel(
-        DiscretePOVM(atom_effects, labels=tuple(v for v, _, _ in kept), tol=povm_tol), states
-    )
+    povm = DiscretePOVM(atom_effects, labels=tuple(v for v, _, _ in kept), tol=povm_tol)
+    # The atom states are s_v = E_v / t_v, t_v = tr E_v. For t_v > 0, E_v >= -bound gives
+    # s_v >= -bound / t_v, checked at max(PSD_TOL, povm_tol / t_v), which leaves at least
+    # half for rounding as above. A trace t_v <= 0 bounds nothing: PSD_TOL stays.
+    traces = [float(np.real(np.trace(e))) for e in atom_effects]
+    state_tols = [max(PSD_TOL, povm_tol / t) if t > 0 else PSD_TOL for t in traces]
+    states = tuple(e / t for e, t in zip(atom_effects, traces))
+    channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
+    channel._prepare(povm, (as_density(s, psd_tol=eps) for s, eps in zip(states, state_tols)))
 
     index_sets = tuple(
         frozenset(v for v, _, _ in kept if v != 0 and (v >> k) & 1)
@@ -277,12 +275,13 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10,
     # of those inside K_k, Phi*(A_k) - A_k = sum_kept (n_vk / tr E_v) E_v - (dropped
     # atoms inside K_k), n_vk = tr(E_v A_k) - [v inside K_k] tr E_v. n_vk sums at most
     # |v|·L traces of a P_a P_b (a != b) or P_a^2 - P_a, each <= sqrt(d)·defect;
-    # s_v = E_v / tr E_v passed the density check, so ||E_v|| <= |tr E_v|·(1 + d·PSD_TOL);
-    # a dropped atom has ||E_v|| <= defect. So the exact residual is at most
-    # ((1 + d·PSD_TOL)·sqrt(d)·L² + L)·defect, plus rounding: the 1e-12 that was the
-    # whole gate before, and still is for an exact PVM (defect 0).
+    # s_v = E_v / tr E_v passed the density check at eps = max(state_tols), so
+    # ||E_v|| <= |tr E_v|·(1 + d·eps); a dropped atom has ||E_v|| <= defect. So the
+    # exact residual is at most ((1 + d·eps)·sqrt(d)·L² + L)·defect, plus rounding: the
+    # 1e-12 that was the whole gate before, and still is for an exact PVM (defect 0).
     n_labels = len(labels)
-    gate = 1e-12 + ((1.0 + d * PSD_TOL) * np.sqrt(d) * n_labels ** 2 + n_labels) * defect
+    gate = 1e-12 + ((1.0 + d * max(state_tols)) * np.sqrt(d) * n_labels ** 2
+                    + n_labels) * defect
     if worst > gate:
         raise RuntimeError(f"partition embedding fixed-point residual {worst:.3e} > {gate:.3e}")
 
@@ -369,23 +368,12 @@ def _constraint_rows(effects, picture: str) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-class _Effects(tuple):
-    """Effects that `_checked_effects` has already passed through `as_effect`."""
-
-
-def _checked_effects(effects, picture: str, budget: int, cap: int | None = None) -> _Effects:
+def _checked_effects(effects, picture: str, budget: int) -> tuple:
     """The effects as validated arrays, after the checks every measurement-set
     decision makes before any work: at least one effect, one shared d x d shape,
-    d^2 within the dimension cap, a known picture and a positive cycle budget.
-    Effects it returned earlier are not converted again; the cheap checks rerun."""
-    if not isinstance(effects, _Effects):
-        effects = _Effects(as_effect(e) for e in effects)
-    if not effects:
-        raise OperatorError("need at least one effect")
-    d = effects[0].shape[0]
-    if any(e.shape != (d, d) for e in effects):
-        raise OperatorError("effects must share one dimension")
-    cap = cap if cap is not None else dimension_cap()
+    d^2 within `dimension_cap()`, a known picture and a positive cycle budget."""
+    effects, d = square_family((as_effect(e) for e in effects), "effect", OperatorError)
+    cap = dimension_cap()
     if d * d > cap:
         raise DimensionCapError(f"d^2 = {d * d} exceeds cap {cap}")
     if picture not in ("heisenberg", "schrodinger"):
@@ -416,14 +404,13 @@ class FeasibilityProblem:
     """
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
-                 tol: float = 1e-7, stall_window: int = 500, cap: int | None = None):
-        self.effects = _checked_effects(effects, picture, budget, cap)
+                 tol: float = 1e-7):
+        self.effects = _checked_effects(effects, picture, budget)
         d = self.effects[0].shape[0]
         self.dim = d
         self.picture = picture
         self.budget = int(budget)
         self.tol = float(tol)
-        self.stall_window = int(stall_window)
 
         real_rows = _constraint_rows(self.effects, picture)
         targets = np.stack((np.eye(d),) + self.effects)
@@ -532,7 +519,7 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     affine projection removes again: P_A(x + c) = P_A(x).
 
     Feasibility means every residual fell below `problem.tol` within budget;
-    stalling (no relative progress over `stall_window` cycles while the best
+    stalling (no relative progress over `STALL_WINDOW` cycles while the best
     residual stays above 10 * tol) is reported as such, never as an
     infeasibility certificate.  Every `PROGRESS_EVERY` cycles one DEBUG record
     gives the cycle, the three residuals, the best residual and the cycles
@@ -579,8 +566,7 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
                 _log.debug("dykstra cycle %d: psd %.3e ppt %.3e affine %.3e, best %.3e, "
                            "%d cycles since improvement", t, res["psd"], res["ppt"],
                            res["affine"], best, t - last_improvement)
-            if (t - last_improvement >= problem.stall_window
-                    and best > 10.0 * problem.tol):
+            if t - last_improvement >= STALL_WINDOW and best > 10.0 * problem.tol:
                 status = "infeasible_stalled"
                 break
 

@@ -81,10 +81,10 @@ class TruncatedChannel:
 
     Trace-non-increasing by construction; the worst trace loss over basis
     states is recorded in `trace_defect_bound`.  Complete positivity is
-    checked on the grading blocks of the Choi matrix.
+    checked on the grading blocks of the Choi matrix, down to -1e-10 relative.
     """
 
-    def __init__(self, action: np.ndarray, levels: int, cp_tol: float = 1e-10):
+    def __init__(self, action: np.ndarray, levels: int):
         n = levels
         if action.shape != (2 * n - 1, n, n):
             raise OperatorError(f"sector action shape {action.shape} does not match {n} levels")
@@ -101,7 +101,7 @@ class TruncatedChannel:
         traces = np.ascontiguousarray(self.action[n - 1].T).sum(axis=1)
         self.trace_defect_bound = float(np.max(1.0 - np.real(traces)))
         w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
-        if w.min() < -cp_tol * max(1.0, w.max()):
+        if w.min() < -1e-10 * max(1.0, w.max()):
             raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
 
     def _to_sectors(self, t) -> np.ndarray:
@@ -180,23 +180,22 @@ def _legendre_nodes(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def qchannel_element_quadrature(m: int, n: int, j: int, k: int,
-                                n_radial: int = 80, n_angular: int | None = None) -> float:
+def qchannel_element_quadrature(m: int, n: int, j: int, k: int) -> float:
     """The same matrix element by 2-D quadrature of the coherent-state integral.
 
-    Angular part on a uniform grid (exact for the trigonometric monomials
-    appearing here), radial part by Gauss-Laguerre after u = 2 r^2.
-    Kept independent of the closed form; used as its oracle.
+    Angular part on a uniform grid of m + n + j + k + 2 points (exact for the
+    trigonometric monomials appearing here), radial part by 80 Gauss-Laguerre
+    nodes after u = 2 r^2.  Kept independent of the closed form;
+    used as its oracle.
     """
     tot_deg = m + n + j + k
-    if n_angular is None:
-        n_angular = tot_deg + 2
+    n_angular = tot_deg + 2
     l = (m + k) - (n + j)
     theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
     angular = np.sum(np.exp(1j * l * theta)) * (2.0 * np.pi / n_angular)
     if abs(angular) < 1e-30:
         return 0.0
-    u, w = _laguerre_nodes(n_radial)
+    u, w = _laguerre_nodes(80)
     radial = 0.25 * np.sum(w * (u / 2.0) ** (tot_deg / 2.0))
     lg = _log_factorials(max(m, n, j, k) + 1)
     lognorm = -0.5 * (lg[m] + lg[n] + lg[j] + lg[k])
@@ -348,7 +347,7 @@ def hermite_functions(n_levels: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bin_overlap_matrix(lo: float, hi: float, n_levels: int, tol: float) -> np.ndarray:
+def _bin_overlap_matrix(lo: float, hi: float, n_levels: int) -> np.ndarray:
     """int_lo^hi h_m(x) h_n(x) dx for all m, n, by node-doubling Gauss-Legendre."""
     prev = None
     for n_nodes in (64, 128, 256, 512, 1024):
@@ -357,15 +356,14 @@ def _bin_overlap_matrix(lo: float, hi: float, n_levels: int, tol: float) -> np.n
         ws = 0.5 * (hi - lo) * ws
         h = hermite_functions(n_levels, xs)
         mat = (h * ws) @ h.T
-        if prev is not None and np.max(np.abs(mat - prev)) <= tol:
+        if prev is not None and np.max(np.abs(mat - prev)) <= 1e-10:
             return mat
         prev = mat
     raise OperatorError(
-        f"bin quadrature on [{lo}, {hi}] did not converge to {tol:.1e}")
+        f"bin quadrature on [{lo}, {hi}] did not converge to 1.0e-10")
 
 
-def binned_position_pvm(a: float, b: float, n_bins: int, trunc: FockTruncation,
-                        quad_tol: float = 1e-10):
+def binned_position_pvm(a: float, b: float, n_bins: int, trunc: FockTruncation):
     """Truncated position-measurement effects for n_bins equal bins of [a, b].
 
     Returns (effects, complement): the complement is I minus the bin effects,
@@ -379,7 +377,7 @@ def binned_position_pvm(a: float, b: float, n_bins: int, trunc: FockTruncation,
     edges = np.linspace(a, b, n_bins + 1)
     effects = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        mat = _bin_overlap_matrix(float(lo), float(hi), n, quad_tol)
+        mat = _bin_overlap_matrix(float(lo), float(hi), n)
         effects.append(mat.astype(complex))
     complement = np.eye(n, dtype=complex) - sum(effects)
     return effects, complement
@@ -408,10 +406,9 @@ def repair_to_commuting_projections(effects, seed: int = 0):
     return projections, distance
 
 
-def position_embedding_sweep(n_bins_list, trunc: FockTruncation, a: float = -3.0,
-                             b: float = 3.0, quad_tol: float = 1e-10,
-                             seed: int = 0) -> list[dict]:
-    """Bin-refinement study: repair distance and embedding residual per bin count.
+def position_embedding_sweep(n_bins_list, trunc: FockTruncation, seed: int = 0) -> list[dict]:
+    """Bin-refinement study on [-3, 3]: repair distance and embedding residual per
+    bin count.
 
     The repair distance is the diagnostic: it grows as the bins refine at a
     fixed truncation, tracing how the continuum measurement escapes the
@@ -421,7 +418,7 @@ def position_embedding_sweep(n_bins_list, trunc: FockTruncation, a: float = -3.0
 
     rows = []
     for n_bins in n_bins_list:
-        effects, complement = binned_position_pvm(a, b, int(n_bins), trunc, quad_tol)
+        effects, complement = binned_position_pvm(-3.0, 3.0, int(n_bins), trunc)
         family = effects + [complement]
         projections, distance = repair_to_commuting_projections(family, seed=seed)
         labels = list(range(len(family)))

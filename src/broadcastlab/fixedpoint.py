@@ -38,6 +38,14 @@ __all__ = [
 ]
 
 
+# Cesaro length of the cross-check of psi_0, and the default of `psi0_matrix`'s
+CESARO_TERMS = 4096
+# largest residual of psi_0 and of the product table that `BroadcastingAlgebra` accepts
+VALIDATE_TOL = 1e-8
+# default tolerance of `atomic_decomposition`, recorded in the report's atom provenance
+ATOM_TOL = 1e-8
+
+
 class FixedPointError(RuntimeError):
     """Fixed-point analysis could not be completed reliably."""
 
@@ -54,11 +62,12 @@ class FixedPointSpace:
         return len(self.basis)
 
 
-def _heisenberg_matrix(channel, cap: int | None = None) -> np.ndarray:
-    """The d^2 x d^2 Heisenberg matrix L of a square channel, built after the cap check."""
+def _heisenberg_matrix(channel) -> np.ndarray:
+    """The d^2 x d^2 Heisenberg matrix L of a square channel, built after checking
+    d against `dimension_cap()`."""
     if channel.d_in != channel.d_out:
         raise OperatorError("fixed points need a square channel (d_in == d_out)")
-    cap = cap if cap is not None else dimension_cap()
+    cap = dimension_cap()
     if channel.d_out > cap:
         raise DimensionCapError(f"dimension {channel.d_out} exceeds cap {cap}")
     return channel_matrix(channel, picture="heisenberg")
@@ -126,14 +135,14 @@ def _hermitian_fixed_basis(cols: np.ndarray, d: int) -> list[np.ndarray]:
     return out
 
 
-def fixed_space(channel, tol: float = 1e-9, cap: int | None = None) -> FixedPointSpace:
+def fixed_space(channel, tol: float = 1e-9) -> FixedPointSpace:
     """Fixed-point space of the Heisenberg action via a vectorized nullspace.
 
     The basis spans the numerical nullspace of (Lambda* - id) at relative
     singular-value threshold `tol`, orthonormal in the Hilbert-Schmidt inner
     product and closed under the adjoint.
     """
-    right, _, ladder = _null_vectors(_heisenberg_matrix(channel, cap), tol)
+    right, _, ladder = _null_vectors(_heisenberg_matrix(channel), tol)
     return _space_from(channel, right, ladder, tol)
 
 
@@ -197,7 +206,7 @@ def _cesaro_means(mat, x, marks) -> dict:
 
 
 def psi0_matrix(channel, method: str = "spectral", tol: float = 1e-9,
-                n_terms: int = 4096) -> np.ndarray:
+                n_terms: int = CESARO_TERMS) -> np.ndarray:
     """Matrix of the fixed-point projector psi_0 on vectorized operators.
 
     "spectral" builds the eigenvalue-1 eigenprojector of the vectorized
@@ -225,8 +234,7 @@ class BroadcastingAlgebra:
     the channel's POVM and states.
     """
 
-    def __init__(self, channel: MeasurePrepareChannel, tol: float = 1e-9,
-                 validate_tol: float = 1e-8, cesaro_terms: int = 4096):
+    def __init__(self, channel: MeasurePrepareChannel, tol: float = 1e-9):
         if not isinstance(channel, MeasurePrepareChannel):
             raise OperatorError("broadcasting algebra needs a measure-prepare channel")
         self.channel = channel
@@ -238,7 +246,7 @@ class BroadcastingAlgebra:
         self.projector = p = _spectral_projector(right, left)
         self.intertwining_residual = float(frob_norm(p @ lmat - p))
         self.idempotency_residual = float(frob_norm(p @ p - p))
-        cesaro = _cesaro_means(lmat, np.eye(d * d, dtype=complex), {cesaro_terms})[cesaro_terms]
+        cesaro = _cesaro_means(lmat, np.eye(d * d, dtype=complex), {CESARO_TERMS})[CESARO_TERMS]
         self.cesaro_cross_residual = float(frob_norm(cesaro - p))
 
         # table[i, j, k] = <B_k, psi_0(Phi*(B_i (x) B_j))>, where
@@ -259,7 +267,7 @@ class BroadcastingAlgebra:
         self.psi0_cp_residual = max(0.0, -float(w[0]))
         worst = max(self.idempotency_residual, self.commutativity_residual,
                     self.associativity_residual, self.psi0_cp_residual)
-        if worst > validate_tol:
+        if worst > VALIDATE_TOL:
             raise FixedPointError(
                 f"broadcasting algebra validation failed: worst residual {worst:.3e}"
             )
@@ -279,13 +287,14 @@ class BroadcastingAlgebra:
     def from_coefficients(self, coeffs) -> np.ndarray:
         return sum(c * b for c, b in zip(coeffs, self.space.basis))
 
-    def product(self, a, b, membership_tol: float = 1e-8) -> np.ndarray:
+    def product(self, a, b) -> np.ndarray:
         """A * B = psi_0(Phi*(A (x) B)) for fixed-point operands, through the
-        product table on the coefficients of psi_0(A) and psi_0(B)."""
+        product table on the coefficients of psi_0(A) and psi_0(B).  An operand
+        farther than 1e-8 * max(1, ||X||_F) from its projection is refused."""
         for name, x in (("left", a), ("right", b)):
             x = as_complex_matrix(x)
             resid = frob_norm(self.project(x) - x)
-            if resid > membership_tol * max(1.0, frob_norm(x)):
+            if resid > 1e-8 * max(1.0, frob_norm(x)):
                 raise OperatorError(
                     f"{name} operand lies outside the fixed-point space "
                     f"(projection residual {resid:.3e})"
@@ -323,8 +332,8 @@ class AtomicDecomposition:
         return MeasurePrepareChannel(self.povm, self.states)
 
 
-def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
-                         seed: int = 0, max_redraws: int = 8) -> AtomicDecomposition:
+def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = ATOM_TOL,
+                         seed: int = 0) -> AtomicDecomposition:
     """Minimal projections of the broadcasting algebra and their dual states.
 
     A generic self-adjoint fixed element (seeded random real combination of
@@ -339,7 +348,7 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
 
     atoms_coeffs = None
     redraws = 0
-    for attempt in range(max_redraws):
+    for _ in range(8):
         coeffs = rng.standard_normal(m)
         mult = algebra.multiplication_matrix(coeffs)
         evals, evecs = np.linalg.eig(mult)
@@ -375,7 +384,7 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = 1e-8,
         redraws += 1
     if atoms_coeffs is None:
         raise FixedPointError(
-            f"atomic decomposition: degeneracy unresolved after {max_redraws} redraws"
+            f"atomic decomposition: degeneracy unresolved after {redraws} redraws"
         )
 
     # deterministic ordering: descending trace, then lexicographic coefficients
@@ -473,7 +482,7 @@ def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0) -> dict:
             for g, s in zip(decomp.atoms, decomp.states)
         ]
         report["atom_provenance"] = {
-            "tolerance": 1e-8,
+            "tolerance": ATOM_TOL,
             "generic_element_seed": seed,
             "redraws": decomp.redraws,
             "state_repair_residual": decomp.state_repair_residual,

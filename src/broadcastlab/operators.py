@@ -20,6 +20,7 @@ __all__ = [
     "as_density",
     "as_effect",
     "DiscretePOVM",
+    "square_family",
     "dagger",
     "op_norm",
     "trace_norm",
@@ -240,6 +241,18 @@ def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> n
     return h
 
 
+def square_family(ops, what: str, error: type) -> tuple[tuple, int]:
+    """`ops`, already converted, as a tuple, and their dimension d, after raising
+    `error` unless there is at least one operator and all share one d x d shape."""
+    ops = tuple(ops)
+    if not ops:
+        raise error(f"need at least one {what}")
+    d = ops[0].shape[0]
+    if any(a.shape != (d, d) for a in ops):
+        raise error(f"{what}s must share one dimension")
+    return ops, d
+
+
 def as_effect(e, tol: float = PSD_TOL) -> np.ndarray:
     """Validated effect: Hermitian with spectrum in [-tol, 1 + tol]."""
     h = as_hermitian(e)
@@ -263,13 +276,9 @@ class DiscretePOVM:
     tol: float = PSD_TOL
 
     def __post_init__(self):
-        effs = tuple(as_effect(e, tol=self.tol) for e in self.effects)
+        effs, d = square_family((as_effect(e, tol=self.tol) for e in self.effects),
+                                "POVM effect", OperatorError)
         object.__setattr__(self, "effects", effs)
-        if not effs:
-            raise OperatorError("a POVM needs at least one effect")
-        d = effs[0].shape[0]
-        if any(e.shape != (d, d) for e in effs):
-            raise OperatorError("POVM effects must share one dimension")
         labels = self.labels if self.labels is not None else tuple(range(len(effs)))
         if len(labels) != len(effs):
             raise OperatorError("labels and effects must have equal length")
@@ -288,12 +297,13 @@ class DiscretePOVM:
         return len(self.effects)
 
 
-def eig_hermitian(a, tol: float = PSD_TOL):
+def eig_hermitian(a):
     """Eigendecomposition of a Hermitian matrix with a deterministic convention.
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     each eigenvector's largest-magnitude component rotated to be real positive.
-    Eigenvectors are the columns of a unitary matrix.
+    Eigenvectors are the columns of a unitary matrix; the reconstruction must
+    match within `PSD_TOL` * max(1, ||a||).
     """
     h = as_hermitian(a)
     w, v = np.linalg.eigh(h)
@@ -306,7 +316,7 @@ def eig_hermitian(a, tol: float = PSD_TOL):
         v[:, j] = col / phase
     scale = max(op_norm(h), 1.0)
     resid = op_norm(v @ np.diag(w) @ dagger(v) - h)
-    if resid > tol * scale:
+    if resid > PSD_TOL * scale:
         raise OperatorError(f"eigendecomposition residual {resid:.3e} exceeds tolerance")
     return w, v
 
@@ -355,21 +365,17 @@ def commutator_defect(family) -> tuple[float, tuple[int, int]]:
     return worst, (0, 0) if k is None else pairs[k]
 
 
-def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0,
-                             max_attempts: int = 4, offdiag_tol: float = 1e-8) -> np.ndarray:
+def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0) -> np.ndarray:
     """Common eigenbasis of a commuting Hermitian family.
 
-    Diagonalizes a random real combination of the family; degenerate draws
-    are retried with fresh coefficients. Raises NotCommutingError carrying
-    the offending pair and commutator norm when the family does not commute
-    within tol (relative to the squared operator-norm scale).
+    Diagonalizes a random real combination of the family; a degenerate draw,
+    whose basis leaves an off-diagonal part above 1e-8 * max(1, largest member
+    norm) in some member, is retried with fresh coefficients, four draws in
+    all. Raises NotCommutingError carrying the offending pair and
+    commutator norm when the family does not commute within tol (relative to
+    the squared operator-norm scale).
     """
-    ops = [as_hermitian(a) for a in family]
-    if not ops:
-        raise OperatorError("empty family")
-    d = ops[0].shape[0]
-    if any(a.shape != (d, d) for a in ops):
-        raise OperatorError("family members must share one dimension")
+    ops, d = square_family((as_hermitian(a) for a in family), "family member", OperatorError)
 
     top = max_op_norm(ops)[0]
     worst, pair = commutator_defect(ops)
@@ -386,11 +392,11 @@ def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     draws = []
-    for _ in range(max_attempts):
+    for _ in range(4):
         coeffs = rng.standard_normal(len(ops))
         generic = sum(c * a for c, a in zip(coeffs, ops))
         _, u = np.linalg.eigh(generic)
-        if not any(op_norm_exceeds(offdiag(dagger(u) @ a @ u), offdiag_tol * max(1.0, top))
+        if not any(op_norm_exceeds(offdiag(dagger(u) @ a @ u), 1e-8 * max(1.0, top))
                    for a in ops):
             return u
         draws.append(u)
@@ -398,7 +404,7 @@ def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0,
                      default=np.inf)
     raise OperatorError(
         f"simultaneous diagonalization failed: off-diagonal residual {best_resid:.3e} "
-        f"after {max_attempts} generic draws"
+        f"after {len(draws)} generic draws"
     )
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from broadcastlab.channels import MeasurePrepareChannel
+from broadcastlab.channels import KrausChannel, MeasurePrepareChannel
 from broadcastlab.operators import (
     DiscretePOVM,
     commutator_defect,
@@ -17,6 +17,12 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def random_kraus_channel(d_in: int, d_out: int, n_ops: int, rng: np.random.Generator):
+    """Kraus operators cut from the first d_in columns of a random unitary."""
+    u = random_unitary(d_out * n_ops, rng)[:, :d_in]
+    return KrausChannel([u[k * d_out:(k + 1) * d_out] for k in range(n_ops)])
 
 
 def random_density(d: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

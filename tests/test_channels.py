@@ -3,7 +3,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from families import random_density, random_eb_channel, random_hermitian, random_unitary
+from families import (
+    random_density,
+    random_eb_channel,
+    random_hermitian,
+    random_kraus_channel,
+    random_unitary,
+)
 
 from broadcastlab.channels import (
     ChannelError,
@@ -26,6 +32,7 @@ from broadcastlab.operators import (
     OperatorError,
     dagger,
     op_norm,
+    partial_trace,
     partial_transpose,
     vec,
 )
@@ -76,17 +83,48 @@ def test_choi_transform_matches_basis_sweep():
         np.testing.assert_allclose(j, _choi_by_basis_sweep(ch), rtol=0, atol=1e-14)
 
 
-def test_kraus_choi_kraus_roundtrip():
-    rng = np.random.default_rng(11)
-    u = random_unitary(3, rng)
-    k0 = np.sqrt(0.3) * u
-    k1 = np.sqrt(0.7) * np.eye(3)
-    ch = KrausChannel([k0, k1])
+def _assert_choi_kraus_roundtrip(ch, rng):
+    """tr_2 J = I for the Choi matrix J of `ch`; the Kraus channel read back from J
+    has Choi matrix J and acts on states as `ch` does."""
+    j = choi_transform(ch).matrix
+    np.testing.assert_allclose(partial_trace(j, (ch.d_in, ch.d_out), side=2),
+                               np.eye(ch.d_in), rtol=0, atol=1e-12)
     back = choi_to_kraus(choi_transform(ch))
-    for _ in range(50):
-        rho = random_density(3, rng)
+    assert (back.d_in, back.d_out) == (ch.d_in, ch.d_out)
+    np.testing.assert_allclose(choi_transform(back).matrix, j, rtol=0, atol=1e-10)
+    for _ in range(10):
+        rho = random_density(ch.d_in, rng)
         np.testing.assert_allclose(back.apply_schrodinger(rho),
-                                   ch.apply_schrodinger(rho), atol=1e-10)
+                                   ch.apply_schrodinger(rho), rtol=0, atol=1e-10)
+
+
+# (d_in, d_out, Kraus operators): d = 1..5, 1-4 operators, square and not
+@pytest.mark.parametrize("d_in, d_out, n_ops", [
+    (1, 1, 1), (2, 2, 1), (3, 3, 2), (4, 4, 3), (5, 5, 4), (1, 4, 2),
+    (4, 1, 4), (2, 3, 1), (3, 2, 2), (2, 5, 3), (5, 3, 2), (3, 4, 4)])
+def test_kraus_choi_kraus_roundtrip(d_in, d_out, n_ops):
+    rng = np.random.default_rng([11, d_in, d_out, n_ops])
+    _assert_choi_kraus_roundtrip(random_kraus_channel(d_in, d_out, n_ops, rng), rng)
+
+
+@pytest.mark.parametrize("kind", ["pinching", "norm1", "generic"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_eb_channel_roundtrip_and_symmetric_lift_marginals(d, kind):
+    """The Choi-Kraus round trip of a measure-and-prepare channel, and both
+    marginals of its symmetric lift: tr_1 Phi(rho) = tr_2 Phi(rho) = Lambda(rho)
+    and Phi*(A (x) I) = Phi*(I (x) A) = Lambda*(A)."""
+    rng = np.random.default_rng([19, d, ["pinching", "norm1", "generic"].index(kind)])
+    ch = random_eb_channel(d, rng, kind=kind)
+    _assert_choi_kraus_roundtrip(ch, rng)
+    lift = SymmetricLift(ch)
+    for _ in range(10):
+        rho, a = random_density(d, rng), random_hermitian(d, rng)
+        for side in (1, 2):
+            np.testing.assert_allclose(partial_trace(lift.apply_schrodinger(rho), (d, d), side),
+                                       ch.apply_schrodinger(rho), rtol=0, atol=1e-12)
+        for lifted in (np.kron(a, np.eye(d)), np.kron(np.eye(d), a)):
+            np.testing.assert_allclose(lift.apply_heisenberg(lifted), ch.apply_heisenberg(a),
+                                       rtol=0, atol=1e-12)
 
 
 def test_depolarizing_sends_everything_to_maximally_mixed():

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from families import commuting_pair, random_density, random_unitary, rotated_mub_effects
 
 from broadcastlab.contextuality import (
+    STALL_WINDOW,
     FeasibilityProblem,
     _constraint_rows,
     _verify_witness,
@@ -284,7 +285,7 @@ def _reference_search(problem):
             return "feasible", t, history
         if history[-1] < best * (1.0 - 1e-3):
             best, last = history[-1], t
-        if t - last >= problem.stall_window and best > 10.0 * problem.tol:
+        if t - last >= STALL_WINDOW and best > 10.0 * problem.tol:
             return "infeasible_stalled", t, history
     return "inconclusive", problem.budget, history
 

@@ -11,7 +11,7 @@ from broadcastlab.channels import (
     choi_transform,
     symmetric_lift,
 )
-from broadcastlab.config import DimensionCapError
+from broadcastlab.config import CAP_ENV_VAR, DimensionCapError
 from broadcastlab.fixedpoint import (
     BroadcastingAlgebra,
     FixedPointError,
@@ -96,9 +96,10 @@ def test_fixed_space_invariants():
     assert frob_norm(_span_projector(sp.basis) @ eye - eye) <= 2e-8
 
 
-def test_fixed_space_dimension_cap():
+def test_fixed_space_dimension_cap(monkeypatch):
+    monkeypatch.setenv(CAP_ENV_VAR, "1")
     with pytest.raises(DimensionCapError):
-        fixed_space(_pinching(2), cap=1)
+        fixed_space(_pinching(2))
 
 
 def test_cesaro_identity_channel():
@@ -371,14 +372,17 @@ def test_psi0_cp_residual_sees_a_non_cp_projector(monkeypatch):
     def non_cp(right, left):
         return spectral(right, left) + 0.5 * np.outer(vec(z), vec(sx).conj())
 
+    validate_tol = fixedpoint.VALIDATE_TOL
     monkeypatch.setattr(fixedpoint, "_spectral_projector", non_cp)
-    alg = BroadcastingAlgebra(_pinching(2), validate_tol=np.inf)
+    monkeypatch.setattr(fixedpoint, "VALIDATE_TOL", np.inf)
+    alg = BroadcastingAlgebra(_pinching(2))
     choi = np.block([[alg.project(np.outer(np.eye(2)[k], np.eye(2)[l])) for l in range(2)]
                      for k in range(2)])
     negative = -np.linalg.eigvalsh(0.5 * (choi + dagger(choi))).min()
     assert negative == pytest.approx((np.sqrt(2.0) - 1) / 2, abs=1e-12)
     assert alg.psi0_cp_residual == pytest.approx(negative, rel=0, abs=1e-15)
     assert alg.idempotency_residual <= 1e-15
+    monkeypatch.setattr(fixedpoint, "VALIDATE_TOL", validate_tol)
     with pytest.raises(FixedPointError, match="validation failed"):
         BroadcastingAlgebra(_pinching(2))
 

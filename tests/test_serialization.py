@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from families import random_density, random_eb_channel, random_unitary
+from families import random_density, random_eb_channel, random_kraus_channel, random_unitary
 
 from broadcastlab.channels import (
     KrausChannel,
@@ -17,7 +17,7 @@ from broadcastlab.channels import (
     symmetric_lift,
 )
 from broadcastlab.cli import main
-from broadcastlab.operators import DiscretePOVM, as_density, op_norm
+from broadcastlab.operators import PSD_TOL, DiscretePOVM, as_density, op_norm
 from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,
@@ -301,12 +301,6 @@ def test_operator_json_roundtrip_is_bit_exact(m):
     assert back.tobytes() == m.tobytes()
 
 
-def _kraus_channel(d_in, d_out, n_ops, rng):
-    """Kraus operators cut from the first d_in columns of a random unitary."""
-    u = random_unitary(d_out * n_ops, rng)[:, :d_in]
-    return KrausChannel([u[k * d_out:(k + 1) * d_out] for k in range(n_ops)])
-
-
 def _channel_arrays(ch):
     if ch.kind == "kraus":
         return list(ch.kraus_ops)
@@ -316,8 +310,8 @@ def _channel_arrays(ch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda rng: _kraus_channel(2, 3, 3, rng),
-    lambda rng: choi_transform(_kraus_channel(3, 2, 2, rng)),
+    lambda rng: random_kraus_channel(2, 3, 3, rng),
+    lambda rng: choi_transform(random_kraus_channel(3, 2, 2, rng)),
     lambda rng: random_eb_channel(3, rng, "generic"),
     lambda rng: random_eb_channel(4, rng, "pinching"),
     lambda rng: symmetric_lift(random_eb_channel(3, rng, "generic")),
@@ -495,11 +489,15 @@ def test_operator_readers_end_in_a_documented_exit_code(case):
 
 def _pvm_near_miss(defect, eta, tol=1e-10):
     """A qubit PVM {p0, p1} in a rotated basis, moved by eta off being
-    idempotent, orthogonal or complete; with the exact SVD-form verdict of
-    the three checks of `pvm_embed` at `tol`."""
+    idempotent, orthogonal or complete, or an unrotated one eta off being
+    idempotent whose p0 has the eigenvalue -PSD_TOL; with the exact SVD-form
+    verdict of the three checks of `pvm_embed` at `tol`."""
     u = random_unitary(2, np.random.default_rng(17))
     p0, p1 = u @ _K0 @ u.conj().T, u @ _K1 @ u.conj().T
-    if defect == "idempotent":    # (1 - eta) p0 and p1 + eta p0: each eta (1 - eta) off
+    if defect == "negative":      # p0 = diag(x, -PSD_TOL), x (1 - x) = eta, p1 = I - p0
+        p0 = np.diag([(1 - np.sqrt(1 - 4 * eta)) / 2, -PSD_TOL]).astype(complex)
+        p1 = np.eye(2) - p0
+    elif defect == "idempotent":  # (1 - eta) p0 and p1 + eta p0: each eta (1 - eta) off
         p0, p1 = (1 - eta) * p0, p1 + eta * p0
     elif defect == "orthogonal":  # p1 turned by eta towards p0
         c, s = np.cos(eta), np.sin(eta)
@@ -526,13 +524,15 @@ def test_pvm_embed_near_misses_follow_the_svd_verdict(defect, factor):
     assert _exit_code("pvm-embed", doc) in ((0,) if ok else (2,))
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-3])
-@pytest.mark.parametrize("defect", ["idempotent", "orthogonal", "complete"])
-@pytest.mark.parametrize("factor", [0.5, 0.9, 0.999, 1.001, 1.1, 1.3, 2.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3, 0.1])
+@pytest.mark.parametrize("defect", ["idempotent", "orthogonal", "complete", "negative"])
+@pytest.mark.parametrize("factor", [0.5, 0.9, 0.979, 0.999, 1.001, 1.1, 1.3, 2.0])
 def test_pvm_embed_near_misses_at_larger_tol_follow_the_svd_verdict(defect, factor, tol):
-    """The same grid at --tol 1e-6 and 1e-3: a near miss that passes the three
-    checks at `tol` also passes the atom POVM's check, whose tolerance follows
-    the measured defects, and ends in the embedded verdict (exit 0)."""
+    """The same grid at --tol 1e-6, 1e-3 and 0.1: a near miss that passes the three
+    checks at `tol` also passes the atom POVM's check and its atom states' checks,
+    whose tolerances follow the measured defects, and ends in the embedded verdict
+    (exit 0).  ("negative", 0.979, 0.1) is p0 = diag(0.11, -1e-10), whose atom
+    state diag(1, -9.1e-10) passes only at the derived tolerance."""
     doc, ok = _pvm_near_miss(defect, factor * tol, tol)
     if factor in (0.5, 2.0):
         assert ok == (factor < 1)

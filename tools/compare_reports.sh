@@ -3,12 +3,12 @@
 #
 #     tools/compare_reports.sh REF [SEED...]      (seeds default to 5 and 11)
 #
-# Checks REF out into a temporary git worktree, runs tools/dump_reports.py in
-# that worktree and in this checkout (uncommitted changes included) at each
-# seed, and prints `diff -r` of the two trees. No output and exit status 0
-# mean every input and report of the cv-fock, dykstra and small-batch
-# workloads is byte-identical; any difference exits 1. The worktree and the
-# dumps are removed on exit.
+# Unpacks REF's committed files into a temporary directory with `git archive`,
+# runs tools/dump_reports.py in that copy and in this checkout (uncommitted
+# changes included) at each seed, and prints `diff -r` of the two trees. No
+# output and exit status 0 mean every input and report of the cv-fock, dykstra
+# and small-batch workloads is byte-identical; any difference exits 1. The
+# copy and the dumps are removed on exit.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -24,14 +24,10 @@ fi
 
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-    git -C "$root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git -C "$root" worktree add --quiet --detach "$tmp/ref" "$ref"
+mkdir "$tmp/ref"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/ref"
 
 status=0
 for seed in "${seeds[@]}"; do

@@ -75,50 +75,68 @@ class TruncatedChannel:
     """Phase-covariant channel restricted to a finite Fock window.
 
     The channel maps |j><k| onto the |m><l| with m - l = j - k, so it is
-    stored as `action`, a complex array of shape (2n-1, n, n): block s is the
-    action within the sector m - l = s - (n-1), in the element order of
-    `_sector_coords`, zero-padded past the sector's n - |s - (n-1)| elements.
+    stored as `action` (float64 if real, else complex128) of shape (2n-1, n, n):
+    block s is the action within the sector m - l = s - (n-1), in the element
+    order of `_sector_coords`, zero-padded past the sector's n - |s - (n-1)|
+    elements.  Products act on the real [Re, Im] columns of the operand's
+    sectors, and only on `_filled`, the sectors from the first to the last
+    nonzero block; the others map every operand to 0.
 
     Trace-non-increasing by construction; the worst trace loss over basis
     states is recorded in `trace_defect_bound`.  Complete positivity is
     checked on the grading blocks of the Choi matrix, down to -1e-10 relative.
     """
 
-    def __init__(self, action: np.ndarray, levels: int):
+    def __init__(self, action, levels: int):
         n = levels
-        if action.shape != (2 * n - 1, n, n):
-            raise OperatorError(f"sector action shape {action.shape} does not match {n} levels")
-        self.action = np.asarray(action, dtype=complex)
-        self.levels = n
-        self.d_in = n
-        self.d_out = n
+        action = np.asarray(action)
+        if (action.dtype.kind not in "biufc" or action.shape != (2 * n - 1, n, n)
+                or not np.isfinite(action).all()):
+            raise OperatorError(f"sector action of {n} levels needs finite numbers of shape "
+                                f"{(2 * n - 1, n, n)}, got {action.dtype} {action.shape}")
+        self.action = action.astype(np.result_type(action.dtype, float), copy=False)
+        filled = np.flatnonzero(self.action.any(axis=(1, 2)))
+        self._filled = slice(filled.min(initial=2 * n - 1), filled.max(initial=0) + 1)
+        self.levels = self.d_in = self.d_out = n
         m, k, valid = _sector_coords(n)
-        self._gather = np.where(valid, m * n + k, n * n)
-        self._scatter = np.empty(n * n, dtype=np.intp)
-        self._scatter[self._gather[valid]] = np.flatnonzero(valid)
-        # tr L(|j><j|) is column j's sum in the diagonal sector; summing the
-        # transposed block along contiguous rows adds in the order np.trace uses
-        traces = np.ascontiguousarray(self.action[n - 1].T).sum(axis=1)
+        # vec index of each filled sector's elements; padding goes to the extra slot n*n
+        self._gather = np.where(valid, m * n + k, n * n)[self._filled]
+        # tr L(|j><j|) is column j's sum in the diagonal sector; summing complex
+        # rows of the transposed block adds in np.trace's order (a real sum can move an ulp)
+        traces = np.ascontiguousarray(self.action[n - 1].T, dtype=complex).sum(axis=1)
         self.trace_defect_bound = float(np.max(1.0 - np.real(traces)))
         w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
         if w.min() < -1e-10 * max(1.0, w.max()):
             raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
 
-    def _to_sectors(self, t) -> np.ndarray:
-        """Gather vec(t) into sector columns of shape (2n-1, n, 1), zero-padded."""
+    def _padded(self, t) -> np.ndarray:
+        """vec(t) followed by the zero slot that sector padding reads and writes."""
         t = as_complex_matrix(t)
         n = self.levels
         if t.shape != (n, n):
             raise OperatorError(f"operand shape {t.shape} does not match {n} levels")
-        padded = np.zeros(n * n + 1, dtype=complex)
-        padded[:-1] = vec(t)
-        return padded[self._gather][..., None]
+        return np.append(vec(t), 0.0)
 
-    def _from_sectors(self, x: np.ndarray) -> np.ndarray:
-        return unvec(x.reshape(-1)[self._scatter], self.levels)
+    def _to_sectors(self, v) -> np.ndarray:
+        """The real [Re, Im] columns of the filled sectors of padded v, shape (k, n, 2)."""
+        return v[self._gather][..., None].view(float)
+
+    def _from_sectors(self, v, y) -> np.ndarray:
+        """The operator of padded v with its filled sectors' columns set to y[0] + i y[1]."""
+        v[self._gather] = y[..., 0] + 1j * y[..., 1]
+        return unvec(v[:-1], self.levels)
 
     def apply(self, t) -> np.ndarray:
-        return self._from_sectors(self.action @ self._to_sectors(t))
+        v = self._padded(t)
+        return self._from_sectors(np.zeros_like(v), self.action[self._filled] @ self._to_sectors(v))
+
+    def cesaro_means(self, t, marks) -> dict:
+        """{length: mean} by `_cesaro_means` on the filled sectors; the others keep t / length."""
+        v = self._padded(t)
+        means = _cesaro_means(self.action[self._filled], self._to_sectors(v), marks)
+        # t / length divides the real pairs, as `_cesaro_means` does in the filled sectors
+        return {length: self._from_sectors((v.view(float) / length).view(complex), mean)
+                for length, mean in means.items()}
 
     # the smoothing channel is Hilbert-Schmidt self-adjoint and the shift study
     # works in the Schrodinger picture, so both pictures act by the stored matrix
@@ -213,7 +231,7 @@ def qchannel_build(trunc: FockTruncation) -> TruncatedChannel:
     lg = _log_factorials(2 * n - 1)
     logval = (lg[m + k] - (m + k + 1) * np.log(2.0)
               - 0.5 * (lg[m] + lg[nn] + lg[j] + lg[k]))
-    action = np.zeros((2 * n - 1, n, n), dtype=complex)
+    action = np.zeros((2 * n - 1, n, n))
     action[s, p, q] = np.exp(logval)
     return TruncatedChannel(action, n)
 
@@ -257,8 +275,7 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
         return float(dev), float(dev / max(frob_norm(block), 1e-300))
 
     marks = {2 ** k for k in range(14) if 2 ** k < n_terms} | {n_terms}
-    means = _cesaro_means(channel.action, channel._to_sectors(a), marks)
-    dist = {t: window_distance(channel._from_sectors(mean)) for t, mean in means.items()}
+    dist = {t: window_distance(mean) for t, mean in channel.cesaro_means(a, marks).items()}
     return {
         "levels": n,
         "window": window,
@@ -278,7 +295,7 @@ def shift_channel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Shift channel with absorbing boundary: populations move one level up,
     mass at the top level leaves the window, coherences are discarded."""
     n = trunc.levels
-    action = np.zeros((2 * n - 1, n, n), dtype=complex)
+    action = np.zeros((2 * n - 1, n, n))
     action[n - 1, np.arange(1, n), np.arange(n - 1)] = 1.0
     return TruncatedChannel(action, n)
 
@@ -296,9 +313,7 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
     state[0, 0] = 1.0
     for k in range(1, n):
         state = channel.apply(state)
-        expected = np.zeros((n, n), dtype=complex)
-        expected[k, k] = 1.0
-        if frob_norm(state - expected) > 1e-14:
+        if frob_norm(state - np.diag(np.arange(n) == k)) > 1e-14:  # |k><k|
             ladder_exact = False
             break
 
@@ -309,9 +324,8 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
     ground = np.zeros((n, n), dtype=complex)
     ground[0, 0] = 1.0
 
-    means = [_cesaro_means(channel.action, channel._to_sectors(rho), set(n_steps))
-             for rho in (ground, random_state)]
-    masses = {steps: [float(np.real(np.trace(channel._from_sectors(m[steps])[:window, :window])))
+    means = [channel.cesaro_means(rho, set(n_steps)) for rho in (ground, random_state)]
+    masses = {steps: [float(np.real(np.trace(m[steps][:window, :window])))
                       for m in means]
               for steps in n_steps}
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from broadcastlab.contextuality import pvm_embed
+from broadcastlab.fixedpoint import _cesaro_means
 from broadcastlab.cvmodels import (
     FockTruncation,
     binned_position_pvm,
@@ -13,6 +14,7 @@ from broadcastlab.cvmodels import (
     qchannel_fixed_analysis,
     repair_to_commuting_projections,
     TruncatedChannel,
+    _sector_coords,
     shift_channel_build,
     shift_channel_study,
     sweep_rows_to_csv,
@@ -114,9 +116,9 @@ def test_qchannel_level_cap():
         qchannel_build(FockTruncation(65))
 
 
-def _dense_action(n, element):
+def _dense_action(n, element, dtype=float):
     """Brute-force n^2 x n^2 superoperator, <m|L(|j><k|)|nn> at row m*n+nn, column j*n+k."""
-    action = np.zeros((n * n, n * n))
+    action = np.zeros((n * n, n * n), dtype=dtype)
     for m in range(n):
         for nn in range(n):
             for j in range(n):
@@ -140,10 +142,21 @@ def _substochastic(n, seed):
             _dense_action(n, lambda m, nn, j, k: p[m, j] if (m == nn and j == k) else 0.0))
 
 
+def _rotated(n, theta=0.7):
+    """The smoothing channel followed by the phase rotation exp(i theta N): sector
+    m - l picks up exp(i theta (m - l)).  CP as a unitary composed with a CP map,
+    and stored complex."""
+    phases = np.exp(1j * theta * np.arange(-(n - 1), n))
+    action = qchannel_build(FockTruncation(n)).action * phases[:, None, None]
+    return (TruncatedChannel(action, n),
+            _dense_action(n, lambda m, nn, j, k: np.exp(1j * theta * (m - nn))
+                          * qchannel_element(m, nn, j, k), dtype=complex))
+
+
 def _references(n):
     return [(qchannel_build(FockTruncation(n)), _dense_action(n, qchannel_element)),
             (shift_channel_build(FockTruncation(n)), _dense_action(n, _shift_element(n))),
-            _substochastic(n, seed=n)]
+            _substochastic(n, seed=n), _rotated(n)]
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -154,7 +167,7 @@ def test_sector_apply_matches_dense_reference(n):
             t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             want = (ref @ t.reshape(-1)).reshape(n, n)
             assert np.max(np.abs(ch.apply(t) - want)) <= 1e-14
-        traces = [np.trace(ref[:, j * n + j].reshape(n, n)) for j in range(n)]
+        traces = [np.trace(ref[:, j * n + j].reshape(n, n)).real for j in range(n)]
         assert ch.trace_defect_bound == pytest.approx(1.0 - min(traces), abs=1e-14)
 
 
@@ -169,6 +182,104 @@ def test_choi_blocks_match_dense_choi_spectrum(n):
             np.testing.assert_allclose(block, dense[np.ix_(rows, rows)], rtol=0, atol=1e-15)
         got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
         np.testing.assert_allclose(got, np.linalg.eigvalsh(dense), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_cesaro_means_match_brute_force_sums(n):
+    """Sum_{k<t} L^k x / t term by term with the dense reference, at t = 1, 2, 3, 10."""
+    rng = np.random.default_rng(n + 1)
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for ch, ref in _references(n):
+        means = ch.cesaro_means(t, {1, 2, 3, 10})
+        term, total = t.reshape(-1), np.zeros(n * n, dtype=complex)
+        for k in range(1, 11):
+            total += term
+            term = ref @ term
+            if k in means:
+                want = (total / k).reshape(n, n)
+                assert np.max(np.abs(means[k] - want)) <= 1e-14 * max(1.0, np.abs(want).max())
+
+
+def test_builders_store_real_actions_and_the_shift_fills_one_sector():
+    for n in (2, 8, 32):
+        q, shift = qchannel_build(FockTruncation(n)), shift_channel_build(FockTruncation(n))
+        assert q.action.dtype == shift.action.dtype == np.float64
+        np.testing.assert_array_equal(np.flatnonzero(shift.action.any(axis=(1, 2))), [n - 1])
+        assert shift._filled == slice(n - 1, n)
+        assert shift._to_sectors(shift._padded(np.eye(n))).shape == (1, n, 2)
+        assert q._filled == slice(0, 2 * n - 1)
+    assert _rotated(6)[0].action.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [6, 32])
+def test_cesaro_means_on_filled_sectors_equal_the_full_stack(n):
+    """Skipping the empty sectors changes no bit: there only the k = 0 term is left."""
+    rng = np.random.default_rng(n + 2)
+    marks = {1, 3, 10, 100, 1000}
+    m, k, valid = _sector_coords(n)
+    gather = np.where(valid, m * n + k, n * n)  # every sector, padding at slot n*n
+    for ch in (shift_channel_build(FockTruncation(n)), _substochastic(n, seed=n)[0]):
+        t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        padded = np.append(t.reshape(-1), 0.0)
+        full = _cesaro_means(ch.action, padded[gather][..., None].view(float), marks)
+        for length, mean in ch.cesaro_means(t, marks).items():
+            want = np.zeros(n * n + 1, dtype=complex)
+            want[gather] = full[length][..., 0] + 1j * full[length][..., 1]
+            np.testing.assert_array_equal(mean, want[:-1].reshape(n, n))
+
+
+@pytest.mark.parametrize("n", [6, 32])
+def test_real_and_complex_storage_agree(n):
+    rng = np.random.default_rng(n + 3)
+    t = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for real in (qchannel_build(FockTruncation(n)), shift_channel_build(FockTruncation(n))):
+        cplx = TruncatedChannel(real.action.astype(complex), n)
+        assert cplx.action.dtype == np.complex128
+        assert real.trace_defect_bound == cplx.trace_defect_bound
+        assert np.max(np.abs(real.apply(t) - cplx.apply(t))) <= 1e-14 * np.abs(t).max()
+        marks = {1, 7, 64, 4096}
+        means_r, means_c = real.cesaro_means(t, marks), cplx.cesaro_means(t, marks)
+        for length in marks:
+            assert np.max(np.abs(means_r[length] - means_c[length])) <= 1e-14 * np.abs(t).max()
+        for br, bc in zip(real.choi(), cplx.choi()):
+            assert np.max(np.abs(br - bc), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "object", "str", "shape"])
+def test_truncated_channel_refuses_invalid_actions(bad):
+    action = qchannel_build(FockTruncation(4)).action
+    if bad == "nan":
+        action = action.copy()
+        action[3, 1, 2] = np.nan
+    elif bad == "inf":
+        action = action.astype(complex)
+        action[0, 0, 0] = complex(0.0, np.inf)
+    elif bad == "object":
+        action = action.astype(object)
+    elif bad == "str":
+        action = action.astype(str)
+    else:
+        action = action.tolist()[:-1]
+    with pytest.raises(OperatorError):
+        TruncatedChannel(action, 4)
+
+
+def test_truncated_channel_reads_a_nested_list():
+    ch = qchannel_build(FockTruncation(5))
+    listed = TruncatedChannel(ch.action.tolist(), 5)
+    assert listed.action.dtype == np.float64
+    np.testing.assert_array_equal(listed.action, ch.action)
+    assert listed.trace_defect_bound == ch.trace_defect_bound
+
+
+def test_zero_channel_fills_no_sector():
+    ch = TruncatedChannel(np.zeros((7, 4, 4)), 4)
+    t = np.arange(16.0).reshape(4, 4) * (1 + 2j)
+    assert ch.trace_defect_bound == 1.0
+    np.testing.assert_array_equal(ch.apply(t), np.zeros((4, 4)))
+    for length, mean in ch.cesaro_means(t, {1, 5}).items():
+        # real and imaginary parts divided separately, correctly rounded
+        np.testing.assert_array_equal(mean, t.real / length + 1j * (t.imag / length))
 
 
 def test_cp_check_runs_above_32_levels():

@@ -544,3 +544,49 @@ def test_pvm_embed_near_misses_at_larger_tol_follow_the_svd_verdict(defect, fact
 def test_pvm_embed_near_miss_fuzz_follows_the_svd_verdict(defect, eta):
     doc, ok = _pvm_near_miss(defect, eta)
     assert _exit_code("pvm-embed", doc) in ((0,) if ok else (2,))
+
+
+@st.composite
+def _noisy_pvms(draw, tol):
+    """A PVM of dimension 1-4 whose outcomes group the vectors of a random
+    basis; each outcome's projection is taken in that basis turned by up to
+    3 tol and then shrunk by up to 3 tol, so that it stays an effect while its
+    idempotency, orthogonality and completeness defects reach 3 tol.  Subsets
+    of the labels are drawn at random.  Returns the document and the verdict
+    of the checks of `pvm_embed` at `tol`: effects at PSD_TOL, then the three
+    defects in SVD form."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    u = random_unitary(d, rng)
+    outcome = rng.integers(0, draw(st.integers(1, d)), size=d)
+    projections = []
+    for a in range(outcome.max() + 1):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(u + draw(st.floats(0.0, 3.0)) * tol * g / op_norm(g))
+        q = q * (np.diag(r) / np.abs(np.diag(r)))  # the turned basis closest to u
+        p = (1.0 - draw(st.floats(0.0, 3.0)) * tol) * (q @ np.diag(outcome == a) @ q.conj().T)
+        projections.append(0.5 * (p + p.conj().T))
+    spectra = np.concatenate([np.linalg.eigvalsh(p) for p in projections])
+    ok = (spectra.min() >= -PSD_TOL and spectra.max() <= 1.0 + PSD_TOL
+          and max(op_norm(p @ p - p) for p in projections) <= tol
+          and all(op_norm(p @ q) <= tol for i, p in enumerate(projections)
+                  for q in projections[i + 1:])
+          and op_norm(sum(projections) - np.eye(d)) <= tol)
+    labels = list(range(len(projections)))
+    subsets = draw(st.lists(st.lists(st.sampled_from(labels), unique=True),
+                            min_size=1, max_size=3))
+    return {"labels": labels, "projections": _ops(*projections), "subsets": subsets}, ok
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([1e-3, 0.1]).flatmap(lambda tol: st.tuples(st.just(tol), _mostly(
+    _noisy_pvms(tol), _near_miss_inputs("pvm-embed").map(lambda doc: (doc, None))))))
+@example((0.1, _pvm_near_miss("negative", 0.979 * 0.1, 0.1)))
+def test_pvm_embed_fuzz_at_large_tol_ends_in_a_documented_exit_code(case):
+    """PVMs moved off being projective by up to three times `tol`, and near-miss
+    documents, at --tol 1e-3 and 0.1: every run ends in a verdict or a
+    documented error, never exit 1; a PVM that passes the checks of `pvm_embed`
+    ends in the embedded verdict (exit 0) and one that fails them exits 2."""
+    tol, (doc, ok) = case
+    expected = {True: (0,), False: (2,), None: (0, 2, 3, 4)}[ok]
+    assert _exit_code("pvm-embed", doc, "--tol", repr(tol)) in expected

@@ -10,6 +10,7 @@ from .operators import (
     PSD_TOL,
     TRACE_TOL,
     DiscretePOVM,
+    _check_density,
     as_complex_matrix,
     as_density,
     as_hermitian,
@@ -47,11 +48,7 @@ class ChannelError(ValueError):
 
 def swap_unitary(d: int) -> np.ndarray:
     """Swap unitary on C^d (x) C^d."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    return np.eye(d * d).reshape(d, d, d * d).transpose(1, 0, 2).reshape(d * d, d * d)
 
 
 class KrausChannel:
@@ -143,12 +140,15 @@ class MeasurePrepareChannel:
             raise ChannelError("need exactly one prepared state per POVM effect")
         self.povm, self.d_in = povm, povm.dim
 
+    def _prepared(self):
+        return self.states
+
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = as_complex_matrix(rho)
         if rho.shape != (self.d_in, self.d_in):
             raise ChannelError(f"operand shape {rho.shape} does not match d_in={self.d_in}")
         out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for g, s in zip(self.povm.effects, self.states):
+        for g, s in zip(self.povm.effects, self._prepared()):
             out += np.trace(g @ rho) * s
         return out
 
@@ -157,7 +157,7 @@ class MeasurePrepareChannel:
         if a.shape != (self.d_out, self.d_out):
             raise ChannelError(f"operand shape {a.shape} does not match d_out={self.d_out}")
         out = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for g, s in zip(self.povm.effects, self.states):
+        for g, s in zip(self.povm.effects, self._prepared()):
             out += np.trace(s @ a) * g
         return out
 
@@ -170,8 +170,8 @@ class SymmetricLift(MeasurePrepareChannel):
 
     The measure-and-prepare channel with the base's POVM that prepares
     sigma_i (x) sigma_i on H (x) H: Phi*(X) = sum_i tr((sigma_i (x) sigma_i) X) G_i,
-    so Phi*(A (x) I) = Phi*(I (x) A) = Lambda*(A).  The lift keeps its base,
-    which determines it: its JSON form is the base's.
+    so Phi*(A (x) I) = Phi*(I (x) A) = Lambda*(A).  It stores only its base, forms
+    each sigma_i (x) sigma_i where an action or `states` reads it, and is written as its base.
     """
 
     kind = "symmetric_lift"
@@ -179,18 +179,27 @@ class SymmetricLift(MeasurePrepareChannel):
     def __init__(self, base: MeasurePrepareChannel):
         if base.d_in != base.d_out:
             raise ChannelError("symmetric lift needs a square measure-prepare channel")
-        # s (x) s has trace tr(s)^2 and eigenvalues lambda_i lambda_j. A base
-        # state passes |tr(s) - 1| <= delta and lambda >= -eps, so its largest
-        # eigenvalue is at most 1 + delta + d eps, |tr(s)^2 - 1| <= delta (2 + delta)
-        # and lambda_i lambda_j >= -eps (1 + delta + d eps). The d^2-term sums
-        # and the eigensolver round by at most a further 8 d^2 ulps.
+        # s (x) s has trace tr(s)^2 and eigenvalues lambda_i lambda_j, so it is checked
+        # on the d x d spectrum of s. A base state passes |tr(s) - 1| <= delta and
+        # lambda >= -eps, so its largest eigenvalue is at most 1 + delta + d eps,
+        # |tr(s)^2 - 1| <= delta (2 + delta) and lambda_i lambda_j >= -eps (1 + delta + d eps).
+        # The d x d eigensolver and the products round by less than a further 8 d^2 ulps.
         d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
         rounding = 8.0 * d * d * np.finfo(float).eps
-        self._prepare(base.povm, (
-            as_density(np.kron(s, s), psd_tol=eps * (1.0 + delta + d * eps) + rounding,
-                       trace_tol=delta * (2.0 + delta) + rounding)
-            for s in base.states))
-        self.base = base
+        for s in base.states:
+            w = np.linalg.eigvalsh(s)
+            _check_density(np.multiply.outer(w, w), float(np.real(np.trace(s))) ** 2,
+                           psd_tol=eps * (1.0 + delta + d * eps) + rounding,
+                           trace_tol=delta * (2.0 + delta) + rounding)
+        self.base, self.povm, self.d_in, self.d_out = base, base.povm, d, d * d
+
+    @property
+    def states(self) -> tuple:
+        return tuple(self._prepared())
+
+    def _prepared(self):
+        n = self.d_out  # np.kron(s, s) bit for bit, without its call overhead at small d
+        return ((s[:, None, :, None] * s[None, :, None, :]).reshape(n, n) for s in self.base.states)
 
     # the two methods below only delegate: the benchmark tracer wraps the
     # methods a class defines itself, so each must stay on this class

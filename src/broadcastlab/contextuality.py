@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiChannel, MeasurePrepareChannel, SymmetricLift
+from .channels import (ChoiChannel, MeasurePrepareChannel, SymmetricLift, channel_matrix,
+                       choi_from_superoperator)
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     PSD_TOL,
@@ -183,7 +184,7 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     kept atom gets the maximally mixed state on its range.
     """
     labels = list(labels)
-    projs, d = square_family((as_effect(p) for p in projections), "projection", OperatorError)
+    projs, d = square_family(map(as_hermitian, projections), "projection", OperatorError)
     if len(labels) != len(projs):
         raise OperatorError("one projection per outcome label is required")
     if len(set(labels)) != len(labels):
@@ -244,8 +245,10 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
 
     # The kept atoms form a POVM up to bound = c + L·defect, c = ||sum_a P_a - I||_F,
     # for the L labels (norms in exact arithmetic; the operator norm is at most the
-    # Frobenius norm). A negative eigenvalue l of P_a has |l| <= l² - l <= defect, so
-    # P_a >= -defect. Hence E_v = sum_{a in v} P_a >= -|v|·defect, and
+    # Frobenius norm). A negative eigenvalue l of P_a has |l| <= l² - l <= defect, and
+    # one above 1 has l - 1 <= l² - l <= defect, so -defect <= P_a <= 1 + defect: the
+    # checks above decide each projection's spectrum at `tol`. Hence
+    # E_v = sum_{a in v} P_a >= -|v|·defect, and
     # E_v = I + (sum_a P_a - I) - sum_{b not in v} P_b <= (1 + c + (L - |v|)·defect) I.
     # sum_kept E_v - I is sum_a P_a - I minus the dropped atoms, each of norm at most
     # defect. So spectra lie in [-bound, 1 + bound] and the sum is within bound of I.
@@ -491,7 +494,8 @@ def decide_measurements(effects, picture: str = "heisenberg", budget: int = 2000
         pass
     else:
         witness = _pinching_witness(u)
-        verification = _verify_witness(effects, picture, witness.choi().matrix)
+        choi = choi_from_superoperator(channel_matrix(witness, "schrodinger"), *u.shape)
+        verification = _verify_witness(effects, picture, choi)
         if verification["max_residual"] <= tol:
             return MeasSetVerdict(
                 status="feasible",

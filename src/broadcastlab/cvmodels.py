@@ -127,8 +127,12 @@ class TruncatedChannel:
         return unvec(v[:-1], self.levels)
 
     def apply(self, t) -> np.ndarray:
+        return self._sector_product(self.action[self._filled], t)
+
+    def _sector_product(self, blocks, t) -> np.ndarray:
+        """The operator whose filled sectors are `blocks` times those of t; the others are 0."""
         v = self._padded(t)
-        return self._from_sectors(np.zeros_like(v), self.action[self._filled] @ self._to_sectors(v))
+        return self._from_sectors(np.zeros_like(v), blocks @ self._to_sectors(v))
 
     def cesaro_means(self, t, marks) -> dict:
         """{length: mean} by `_cesaro_means` on the filled sectors; the others keep t / length."""
@@ -138,13 +142,12 @@ class TruncatedChannel:
         return {length: self._from_sectors((v.view(float) / length).view(complex), mean)
                 for length, mean in means.items()}
 
-    # the smoothing channel is Hilbert-Schmidt self-adjoint and the shift study
-    # works in the Schrodinger picture, so both pictures act by the stored matrix
     def apply_schrodinger(self, t) -> np.ndarray:
         return self.apply(t)
 
     def apply_heisenberg(self, t) -> np.ndarray:
-        return self.apply(t)
+        """The Hilbert-Schmidt dual: each filled sector's block conjugate-transposed."""
+        return self._sector_product(self.action[self._filled].conj().swapaxes(1, 2), t)
 
     def sector_blocks(self) -> list[np.ndarray]:
         """The unpadded sector blocks, s = 0..2n-2 (views into `action`)."""

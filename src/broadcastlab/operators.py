@@ -202,8 +202,8 @@ def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     exactly 0 and passes the test at any scale, so neither norm is taken.
     Otherwise the Frobenius bounds of `_op_norm_bounds` decide where they can:
     hi(A - H) <= tol * max(1, lo(A)) accepts and lo(A - H) > tol * max(1, hi(A))
-    refuses, as the SVD form would. The SVDs are taken where the bounds do not
-    decide, for the residual a refusal reports, and for the DEBUG record."""
+    refuses, as the SVD form would, at every log level. The SVDs are taken where
+    the bounds do not decide, and for the residual a refusal reports."""
     a = as_complex_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise OperatorError(f"expected a square matrix, got {a.shape}")
@@ -212,33 +212,35 @@ def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
         return h
     r = a - h
     refused = False
-    if not _log.isEnabledFor(logging.DEBUG):
-        bounds_a, bounds_r = _op_norm_bounds(a), _op_norm_bounds(r)
-        if bounds_a is not None and bounds_r is not None:
-            if bounds_r[1] <= tol * max(1.0, bounds_a[0]):
-                return h
-            refused = bounds_r[0] > tol * max(1.0, bounds_a[1])
+    bounds_a, bounds_r = _op_norm_bounds(a), _op_norm_bounds(r)
+    if bounds_a is not None and bounds_r is not None:
+        if bounds_r[1] <= tol * max(1.0, bounds_a[0]):
+            _log.debug("hermitian symmetrization absorbed residual at most %.3e", bounds_r[1])
+            return h
+        refused = bounds_r[0] > tol * max(1.0, bounds_a[1])
     resid = op_norm(r)
     if refused or resid > tol * max(op_norm(a), 1.0):
         raise OperatorError(
             f"matrix is not Hermitian: anti-Hermitian residual {resid:.3e} "
             f"exceeds {tol:.1e} * scale"
         )
-    if resid > 0.0:
-        _log.debug("hermitian symmetrization absorbed residual %.3e", resid)
+    _log.debug("hermitian symmetrization absorbed residual %.3e", resid)
     return h
 
 
 def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> np.ndarray:
     """Validated density operator: Hermitian, eigenvalues >= -psd_tol, trace 1."""
     h = as_hermitian(rho)
-    w = np.linalg.eigvalsh(h)
+    _check_density(np.linalg.eigvalsh(h), float(np.real(np.trace(h))), psd_tol, trace_tol)
+    return h
+
+
+def _check_density(w, tr: float, psd_tol: float, trace_tol: float) -> None:
+    """Refuse a density operator's eigenvalues `w` below -psd_tol or trace `tr` off 1."""
     if w.min() < -psd_tol:
         raise OperatorError(f"density operator has eigenvalue {w.min():.3e} < -{psd_tol:.1e}")
-    tr = float(np.real(np.trace(h)))
     if abs(tr - 1.0) > trace_tol:
         raise OperatorError(f"density operator has trace {tr!r}, |trace - 1| > {trace_tol:.1e}")
-    return h
 
 
 def square_family(ops, what: str, error: type) -> tuple[tuple, int]:

@@ -278,36 +278,16 @@ def load_json_file(path):
             raise SchemaError(f"$: {path} nests JSON too deeply to read") from None
 
 
-def _parse_known(obj):
-    """Parse a JSON object of any supported shape into library objects."""
-    if isinstance(obj, dict) and "kind" in obj:
-        return channel_from_json(obj), "channel"
-    if isinstance(obj, dict) and "dim_row" in obj:
-        return operator_from_json(obj), "operator"
-    if isinstance(obj, dict) and "states" in obj and "dim_row" not in obj:
-        _expect_keys(obj, ("states",), path="$")
-        return operators_field(obj, "states"), "state_set"
-    if isinstance(obj, dict) and "effects" in obj:
-        _expect_keys(obj, ("effects",), optional=("picture", "channel", "epsilon"), path="$")
-        return obj, "effect_set"
-    raise SchemaError("$: unrecognized document shape")
-
-
 def io_roundtrip(path):
-    """Parse, re-serialize, and re-parse a file; returns the parsed object and
-    raises if the roundtrip is not stable to full double precision."""
+    """The channel (a document with a `kind`) or operator read from `path`; raises a
+    `SchemaError` unless writing it, reading that back and writing again repeats it."""
     raw = load_json_file(path)
-    parsed, shape = _parse_known(raw)
-    if shape == "channel":
-        second = channel_from_json(json.loads(json.dumps(channel_to_json(parsed))))
-        probes = [channel_to_json(parsed), channel_to_json(second)]
-    elif shape == "operator":
-        second = operator_from_json(json.loads(json.dumps(operator_to_json(parsed))))
-        if not np.array_equal(parsed, second):
-            raise SchemaError("$: operator roundtrip is not byte-stable")
-        probes = [operator_to_json(parsed), operator_to_json(second)]
+    if isinstance(raw, dict) and "kind" in raw:
+        read, write = channel_from_json, channel_to_json
     else:
-        probes = [raw, json.loads(json.dumps(raw))]
-    if json.dumps(probes[0], sort_keys=True) != json.dumps(probes[1], sort_keys=True):
+        read, write = operator_from_json, operator_to_json
+    parsed = read(raw)
+    text = json.dumps(write(parsed), sort_keys=True)
+    if json.dumps(write(read(json.loads(text))), sort_keys=True) != text:
         raise SchemaError("$: serialization roundtrip is not stable")
     return parsed

@@ -30,6 +30,8 @@ from broadcastlab.operators import (
     TRACE_TOL,
     DiscretePOVM,
     OperatorError,
+    as_density,
+    as_hermitian,
     dagger,
     op_norm,
     partial_trace,
@@ -288,6 +290,19 @@ def test_symmetric_lift_of_a_base_near_the_trace_tolerance():
     np.testing.assert_array_equal(lift.states[0], np.kron(base.states[0], base.states[0]))
 
 
+def _edge_state(d, trace_offset, negativity, rotate, seed):
+    """A d x d state of trace 1 + trace_offset * TRACE_TOL whose smallest
+    eigenvalue is -negativity * PSD_TOL, turned by a random unitary if `rotate`."""
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(d))
+    if d > 1:
+        w[1:] *= (1.0 + negativity * PSD_TOL) / w[1:].sum()
+        w[0] = -negativity * PSD_TOL
+    w[-1] += trace_offset * TRACE_TOL
+    u = random_unitary(d, rng) if rotate else np.eye(d)
+    return as_hermitian(u @ np.diag(w) @ dagger(u))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
@@ -301,20 +316,56 @@ def test_symmetric_lift_accepts_the_lift_of_every_accepted_base(d, trace_offset,
     """Base states with trace 1 + trace_offset * TRACE_TOL and a smallest
     eigenvalue of -negativity * PSD_TOL, up to the edges of what the base
     accepts: whenever the base accepts them, the lift accepts their squares."""
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(d))
-    if d > 1:
-        w[1:] *= (1.0 + negativity * PSD_TOL) / w[1:].sum()
-        w[0] = -negativity * PSD_TOL
-    w[-1] += trace_offset * TRACE_TOL
-    u = random_unitary(d, rng) if rotate else np.eye(d)
-    state = u @ np.diag(w) @ dagger(u)
+    state = _edge_state(d, trace_offset, negativity, rotate, seed)
     try:
         base = MeasurePrepareChannel(DiscretePOVM((np.eye(d),)), [state])
     except OperatorError:  # rounding took the state past the base's own tolerance
         assume(False)
     lift = SymmetricLift(base)
     assert (lift.d_in, lift.d_out) == (d, d * d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.floats(-3.0, 3.0), st.floats(0.0, 3.0), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+@example(2, 0.8, 0.0, False, 0)
+@example(2, 0.0, 1.0, False, 0)  # eigenvalues -eps and 1 + eps: the lift has -eps (1 + eps)
+@example(2, 1.0, 1.0, False, 0)
+@example(6, 1.0, 1.0, False, 0)
+@example(6, -1.0, 1.0, True, 1)
+@example(2, 3.0, 0.0, False, 0)  # |tr(s)^2 - 1| = 6e-10: refused
+@example(2, 0.0, 3.0, False, 0)  # eigenvalue product -3e-10: refused
+def test_symmetric_lift_check_refuses_where_the_dense_check_does(d, trace_offset, negativity,
+                                                                 rotate, seed):
+    """Base states up to three times past the base's own trace and PSD
+    tolerances, prepared without the base's check: the lift, which checks each
+    s (x) s on the d x d spectrum of s, refuses exactly where `as_density` of
+    the dense s (x) s at the derived tolerances does, except where the dense
+    eigenvalue or trace lies within the rounding allowance of its bound.  An
+    accepted lift reads `states` as np.kron(s, s) bit for bit."""
+    state = _edge_state(d, trace_offset, negativity, rotate, seed)
+    base = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
+    base._prepare(DiscretePOVM((np.eye(d),)), [state])
+    rounding = 8.0 * d * d * np.finfo(float).eps
+    psd_tol = PSD_TOL * (1.0 + TRACE_TOL + d * PSD_TOL) + rounding
+    trace_tol = TRACE_TOL * (2.0 + TRACE_TOL) + rounding
+    dense = np.kron(state, state)
+    try:
+        as_density(dense, psd_tol=psd_tol, trace_tol=trace_tol)
+        dense_accepts = True
+    except OperatorError:
+        dense_accepts = False
+    try:
+        lift = SymmetricLift(base)
+    except OperatorError:
+        lift = None
+    if (lift is not None) != dense_accepts:
+        low = np.linalg.eigvalsh(dense).min()
+        trace_miss = abs(np.trace(dense).real - 1.0)
+        assert min(abs(low + psd_tol), abs(trace_miss - trace_tol)) <= rounding
+    if lift is not None:
+        assert (lift.d_in, lift.d_out) == (d, d * d)
+        np.testing.assert_array_equal(lift.states[0], dense)
 
 
 def test_measure_prepare_choi_is_ppt():

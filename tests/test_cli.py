@@ -1,9 +1,10 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
-from families import random_commuting_states
+from families import random_commuting_states, rotated_mub_effects
 
 from broadcastlab.channels import SymmetricLift
 from broadcastlab.cli import main
@@ -580,3 +581,41 @@ def test_readme_command_lines_parse():
     for argv in lines:
         assert _build_parser().parse_args(argv).subcommand == argv[0]
     assert {argv[0] for argv in lines} == set(SUBCOMMANDS)
+
+
+def test_reports_do_not_depend_on_the_log_level(tmp_path, caplog):
+    """Every subcommand writes the same bytes with the `broadcastlab` loggers at
+    DEBUG as at the default level: the checks decide the same way at every
+    level, and only the log records differ."""
+    rng = np.random.default_rng(31)
+    skew = 1e-16 * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    states = [operator_to_json(s + skew) for s in random_commuting_states(3, 3, rng)]
+    noisy_pvm = [operator_to_json(np.diag([1.0 + 5e-4, 0.0])),
+                 operator_to_json(np.diag([0.0, 1.0]))]
+    runs = [
+        ("check-states", {"states": states}),
+        ("check-meas", {"effects": [operator_to_json(e) for e in rotated_mub_effects(2, rng)]},
+         "--budget", "200"),
+        ("check-meas", {"effects": [operator_to_json(np.diag([0.9, 0.2])),
+                                    operator_to_json(np.diag([0.3, 0.6]))]}),
+        ("pvm-embed", {"labels": [0, 1], "projections": noisy_pvm, "subsets": [[0]]},
+         "--tol", "0.001"),
+        ("fixpoints", {"channel": _PINCH_CHANNEL}),
+        ("approx-check", {"effects": _PINCH_2, "epsilon": 0.1, "channel": _PINCH_CHANNEL}),
+        ("cv-shift", None, "--levels", "8"),
+    ]
+
+    def reports(level):
+        out = []
+        with caplog.at_level(level, logger="broadcastlab"):
+            for k, (subcommand, doc, *extra) in enumerate(runs):
+                path = tmp_path / f"{k}-report.json"  # the config records this path
+                given = [] if doc is None else ["--input", _write(tmp_path, f"{k}.json", doc)]
+                assert main([subcommand, *given, "--output", str(path), *extra]) == 0
+                out.append(path.read_bytes())
+        return out
+
+    assert reports(logging.WARNING) == reports(logging.DEBUG)
+    messages = [r.getMessage() for r in caplog.records]
+    assert any("absorbed residual at most" in m for m in messages)
+    assert any(m.startswith("dykstra cycle 100") for m in messages)

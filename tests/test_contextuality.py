@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from broadcastlab.contextuality import (
     PPT_NOTE,
     AxiomViolationError,
     FeasibilityProblem,
+    _verify_witness,
     approx_check,
     broadcaster_from_commuting,
     check_measurements_feasibility,
@@ -33,6 +36,7 @@ from broadcastlab.operators import (
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
+    as_effect,
     commutator_defect,
     dagger,
     hermitian_basis,
@@ -130,6 +134,21 @@ def test_check_states_broadcaster_is_symmetric_lift_of_witness():
     assert back.kind == "symmetric_lift"
     for got, want in zip(back.states, v.broadcaster.states):
         np.testing.assert_array_equal(got, want)
+
+
+def test_check_states_at_d16_holds_no_lifted_state_set():
+    """The broadcaster stores only its pinching base and forms each s (x) s one
+    term at a time, so `check_states` at d = 16 peaks below 8 MiB of traced
+    memory: the sixteen 256 x 256 lifted states alone take 16 MiB."""
+    states = random_commuting_states(16, 3, np.random.default_rng(16))
+    tracemalloc.start()
+    try:
+        verdict = check_states(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.verdict == "non_confirming"
+    assert peak < 8 * 2 ** 20
 
 
 def test_broadcaster_refuses_noncommuting():
@@ -332,6 +351,21 @@ def test_commuting_effects_are_decided_by_their_pinching(case):
     for e in effects:
         assert op_norm(witness.apply_heisenberg(e) - e) <= 1e-7
         assert op_norm(witness.apply_schrodinger(e) - e) <= 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(_commuting_effects())
+def test_pinching_verification_is_that_of_its_choi_channel(case):
+    """The pinching's Choi matrix is checked once, by `_verify_witness`: its
+    verification equals, bit for bit, the one of the matrix that
+    `choi_transform` builds and checks as a `ChoiChannel`."""
+    effects, picture = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(CAP_ENV_VAR, "36")  # d = 6 is over the default cap
+        verdict = decide_measurements(effects, picture=picture)
+    want = _verify_witness(tuple(map(as_effect, effects)), picture,
+                           choi_transform(verdict.witness_channel).matrix)
+    assert repr(verdict.verification) == repr(want)
 
 
 def test_pinching_verdict_reports_the_verification():

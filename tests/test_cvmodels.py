@@ -172,6 +172,29 @@ def test_sector_apply_matches_dense_reference(n):
 
 
 @pytest.mark.parametrize("n", [6, 8])
+def test_apply_heisenberg_is_the_dual(n):
+    """tr(L(rho) A) = tr(rho L*(A)) within 1e-14 for the shift, the smoothing
+    channel and the phase-rotated complex channel, and L* is the conjugate
+    transpose of the dense reference; the shift's dual takes |1><1| to |0><0|."""
+    rng = np.random.default_rng(n + 4)
+    smoothing, shift, _, rotated = _references(n)
+    for ch, ref in (smoothing, shift, rotated):
+        for _ in range(3):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            rho = g @ dagger(g) / np.trace(g @ dagger(g))
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = 0.5 * (a + dagger(a))
+            a /= op_norm(a)
+            dual = ch.apply_heisenberg(a)
+            assert abs(np.trace(ch.apply(rho) @ a) - np.trace(rho @ dual)) <= 1e-14
+            want = (dagger(ref) @ a.reshape(-1)).reshape(n, n)
+            assert np.max(np.abs(dual - want)) <= 1e-14
+    ket1, ket0 = np.diag(np.arange(n) == 1), np.diag(np.arange(n) == 0)
+    np.testing.assert_array_equal(shift[0].apply_heisenberg(ket1), ket0)
+    np.testing.assert_array_equal(shift[0].apply_heisenberg(ket0), np.zeros((n, n)))
+
+
+@pytest.mark.parametrize("n", [6, 8])
 def test_choi_blocks_match_dense_choi_spectrum(n):
     for ch, ref in _references(n):
         # J[a*n+m, b*n+nn] = <m|L(|a><b|)|nn>

@@ -470,9 +470,9 @@ def test_as_hermitian_equals_svd_form(case):
 
 
 def test_as_hermitian_takes_no_svd_where_the_bounds_decide(monkeypatch, caplog):
-    """A residual far inside the bound is accepted without an SVD; one far
-    outside is refused with one, for the residual the message reports; the
-    DEBUG record takes both norms."""
+    """A residual far inside the bound is accepted without an SVD, also under
+    DEBUG logging, whose record then gives the bound; one far outside is
+    refused with one SVD, for the residual the message reports."""
     calls = []
 
     def counted(a):
@@ -492,6 +492,6 @@ def test_as_hermitian_takes_no_svd_where_the_bounds_decide(monkeypatch, caplog):
     assert len(calls) == 1
     calls.clear()
     with caplog.at_level(logging.DEBUG, logger="broadcastlab.operators"):
-        as_hermitian(inside)
-    assert len(calls) == 2
-    assert any("absorbed residual" in r.getMessage() for r in caplog.records)
+        np.testing.assert_array_equal(as_hermitian(inside), 0.5 * (inside + dagger(inside)))
+    assert calls == []
+    assert any("absorbed residual at most" in r.getMessage() for r in caplog.records)

@@ -12,9 +12,10 @@ from .operators import (
     DiscretePOVM,
     _check_density,
     as_complex_matrix,
-    as_density,
+    as_densities,
     as_hermitian,
     dagger,
+    kron,
     op_norm,
     op_norm_exceeds,
     partial_trace,
@@ -111,12 +112,12 @@ class ChoiChannel:
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = as_complex_matrix(rho)
-        lifted = np.kron(rho.T, np.eye(self.d_out))
+        lifted = kron(rho.T, np.eye(self.d_out))
         return partial_trace(self.matrix @ lifted, (self.d_in, self.d_out), side=1)
 
     def apply_heisenberg(self, a) -> np.ndarray:
         a = as_complex_matrix(a)
-        lifted = np.kron(np.eye(self.d_in), a)
+        lifted = kron(np.eye(self.d_in), a)
         return partial_trace(self.matrix @ lifted, (self.d_in, self.d_out), side=2).T
 
 
@@ -124,13 +125,15 @@ class MeasurePrepareChannel:
     """Entanglement-breaking channel Lambda(T) = sum_i tr(G_i T) sigma_i.
 
     The Heisenberg dual is Lambda*(A) = sum_i tr(sigma_i A) G_i.  Prepared
-    states may live on a different (e.g. bipartite) output space.
+    states may live on a different (e.g. bipartite) output space.  Both actions
+    take their weights from one product of a stacked family and add the terms
+    in order.
     """
 
     kind = "measure_prepare"
 
     def __init__(self, povm: DiscretePOVM, states):
-        self._prepare(povm, (as_density(s) for s in states))
+        self._prepare(povm, as_densities(states))
 
     def _prepare(self, povm: DiscretePOVM, states):
         """Take `povm` and the `states`, each already checked as a density
@@ -139,30 +142,38 @@ class MeasurePrepareChannel:
         if len(self.states) != len(povm):
             raise ChannelError("need exactly one prepared state per POVM effect")
         self.povm, self.d_in = povm, povm.dim
+        self._effect_stack, self._state_stack = np.stack(povm.effects), np.stack(self.states)
 
     def _prepared(self):
         return self.states
+
+    def _state_weights(self, a):
+        """tr(sigma_i a) for each prepared state sigma_i."""
+        return np.trace(self._state_stack @ a, axis1=1, axis2=2)
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = as_complex_matrix(rho)
         if rho.shape != (self.d_in, self.d_in):
             raise ChannelError(f"operand shape {rho.shape} does not match d_in={self.d_in}")
-        out = np.zeros((self.d_out, self.d_out), dtype=complex)
-        for g, s in zip(self.povm.effects, self._prepared()):
-            out += np.trace(g @ rho) * s
-        return out
+        weights = np.trace(self._effect_stack @ rho, axis1=1, axis2=2)
+        return _weighted_sum(weights, self._prepared(), self.d_out)
 
     def apply_heisenberg(self, a) -> np.ndarray:
         a = as_complex_matrix(a)
         if a.shape != (self.d_out, self.d_out):
             raise ChannelError(f"operand shape {a.shape} does not match d_out={self.d_out}")
-        out = np.zeros((self.d_in, self.d_in), dtype=complex)
-        for g, s in zip(self.povm.effects, self._prepared()):
-            out += np.trace(s @ a) * g
-        return out
+        return _weighted_sum(self._state_weights(a), self.povm.effects, self.d_in)
 
     def choi(self) -> ChoiChannel:
         return choi_transform(self)
+
+
+def _weighted_sum(weights, ops, d: int) -> np.ndarray:
+    """sum_i weights[i] ops[i] on d x d, added term by term in order."""
+    out = np.zeros((d, d), dtype=complex)
+    for c, g in zip(weights, ops):
+        out += c * g
+    return out
 
 
 class SymmetricLift(MeasurePrepareChannel):
@@ -192,14 +203,18 @@ class SymmetricLift(MeasurePrepareChannel):
                            psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                            trace_tol=delta * (2.0 + delta) + rounding)
         self.base, self.povm, self.d_in, self.d_out = base, base.povm, d, d * d
+        self._effect_stack = base._effect_stack
 
     @property
     def states(self) -> tuple:
         return tuple(self._prepared())
 
     def _prepared(self):
-        n = self.d_out  # np.kron(s, s) bit for bit, without its call overhead at small d
-        return ((s[:, None, :, None] * s[None, :, None, :]).reshape(n, n) for s in self.base.states)
+        return (kron(s, s) for s in self.base.states)
+
+    def _state_weights(self, a):
+        # one s (x) s at a time: a stack of them would hold k d^4 entries
+        return [np.trace(s @ a) for s in self._prepared()]
 
     # the two methods below only delegate: the benchmark tracer wraps the
     # methods a class defines itself, so each must stay on this class

@@ -20,16 +20,19 @@ from .operators import (
     NotCommutingError,
     OperatorError,
     as_complex_matrix,
-    as_density,
+    as_densities,
     as_effect,
+    as_effects,
     as_hermitian,
     commutator_defect,
     dagger,
     frob_norm,
     hermitian_basis,
+    kron,
     max_op_norm,
     op_norm,
     op_norm_exceeds,
+    op_norms_exceed,
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
@@ -111,7 +114,7 @@ def check_states(states, tol: float = 1e-9, seed: int = 0) -> StateSetVerdict:
     state and the broadcasting channel reproducing both marginals; confirming
     sets report the offending pair and its commutator norm.
     """
-    rhos, d = square_family((as_density(r) for r in states), "state", OperatorError)
+    rhos, d = square_family(as_densities(states), "state", OperatorError)
 
     defect, pair = commutator_defect(rhos)
     if defect > tol:
@@ -200,21 +203,30 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
             raise OperatorError(f"subset {k} uses labels outside the outcome alphabet")
 
     # single-PVM check at atom level: idempotent, mutually orthogonal, complete;
-    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b)
+    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b).
+    # The products are checked in label order, in blocks of whole rows that stop
+    # once they hold 256 kB.
     defect = 0.0
+    stack = np.stack(projs)
+    block, pairs = [], []
     for i, p in enumerate(projs):
-        r = p @ p - p
-        if op_norm_exceeds(r, tol):
-            raise OperatorError(f"outcome {labels[i]!r} is not a projection")
-        defect = max(defect, frob_norm(r))
-        for j in range(i + 1, len(projs)):
-            r = p @ projs[j]
-            if op_norm_exceeds(r, tol):
-                raise OperatorError(
-                    f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
-                    "inputs are not effects of a single PVM"
-                )
-            defect = max(defect, frob_norm(r))
+        products = p @ stack[i:]  # P_i P_j for j >= i; the first becomes P_i^2 - P_i
+        products[0] -= p
+        block.append(products)
+        pairs += [(i, j) for j in range(i, len(projs))]
+        if i + 1 < len(projs) and len(pairs) * p.nbytes < 2 ** 18:
+            continue
+        exceeds, norms = op_norms_exceed(np.concatenate(block), tol)
+        if exceeds.any():
+            a, b = pairs[int(np.argmax(exceeds))]
+            if a == b:
+                raise OperatorError(f"outcome {labels[a]!r} is not a projection")
+            raise OperatorError(
+                f"outcomes {labels[a]!r} and {labels[b]!r} are not orthogonal; "
+                "inputs are not effects of a single PVM"
+            )
+        defect = max(defect, float(norms.max()))
+        block, pairs = [], []
     complete = sum(projs) - np.eye(d)
     if op_norm_exceeds(complete, tol):
         raise OperatorError("atom-level projections do not sum to the identity")
@@ -264,7 +276,7 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     state_tols = [max(PSD_TOL, povm_tol / t) if t > 0 else PSD_TOL for t in traces]
     states = tuple(e / t for e, t in zip(atom_effects, traces))
     channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
-    channel._prepare(povm, (as_density(s, psd_tol=eps) for s, eps in zip(states, state_tols)))
+    channel._prepare(povm, as_densities(states, state_tols))
 
     index_sets = tuple(
         frozenset(v for v, _, _ in kept if v != 0 and (v >> k) & 1)
@@ -375,7 +387,7 @@ def _checked_effects(effects, picture: str, budget: int) -> tuple:
     """The effects as validated arrays, after the checks every measurement-set
     decision makes before any work: at least one effect, one shared d x d shape,
     d^2 within `dimension_cap()`, a known picture and a positive cycle budget."""
-    effects, d = square_family((as_effect(e) for e in effects), "effect", OperatorError)
+    effects, d = square_family(as_effects(effects), "effect", OperatorError)
     cap = dimension_cap()
     if d * d > cap:
         raise DimensionCapError(f"d^2 = {d * d} exceeds cap {cap}")
@@ -608,9 +620,9 @@ def _verify_witness(effects, picture: str, j: np.ndarray) -> dict:
     eye = np.eye(d)
     for e in effects:
         if picture == "heisenberg":
-            img = partial_trace(jh @ np.kron(eye, e), (d, d), side=2).T
+            img = partial_trace(jh @ kron(eye, e), (d, d), side=2).T
         else:
-            img = partial_trace(jh @ np.kron(e.T, eye), (d, d), side=1)
+            img = partial_trace(jh @ kron(e.T, eye), (d, d), side=1)
         fixing.append(op_norm(img - e))
     out = {
         "min_eigenvalue": float(w.min()),
@@ -678,7 +690,7 @@ class ExtendedFunctional:
     def __init__(self, effects, values, dim: int, tol: float = 1e-9):
         self.dim = int(dim)
         self.tol = float(tol)
-        self.effects = tuple(as_effect(e, tol=max(tol, 1e-9)) for e in effects)
+        self.effects = as_effects(effects, tol=max(tol, 1e-9))
         vals = np.asarray(values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]

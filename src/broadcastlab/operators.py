@@ -19,6 +19,8 @@ __all__ = [
     "as_hermitian",
     "as_density",
     "as_effect",
+    "as_effects",
+    "as_densities",
     "DiscretePOVM",
     "square_family",
     "dagger",
@@ -26,8 +28,10 @@ __all__ = [
     "trace_norm",
     "frob_norm",
     "op_norm_exceeds",
+    "op_norms_exceed",
     "max_op_norm",
     "hs_inner",
+    "kron",
     "vec",
     "unvec",
     "eig_hermitian",
@@ -160,6 +164,35 @@ def op_norm_exceeds(a, tol: float) -> bool:
     return op_norm(a) > tol
 
 
+def op_norms_exceed(stack, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """`op_norm_exceeds(a, tol)` for each matrix a of a (k, m, n) stack, and the
+    Frobenius norms whose bounds decided it.
+
+    All k norms come from one product per real and imaginary part, summed in
+    another order than `frob_norm`'s, which `NORM_BOUND_SLACK` allows; the SVD
+    is taken only of a matrix whose bounds do not decide."""
+    stack = np.asarray(stack)
+    with np.errstate(over="ignore"):  # squares past 2^1024 give inf, left undecided below
+        squares = np.einsum("kab,kab->k", stack.real, stack.real)
+        if stack.dtype.kind == "c":
+            squares += np.einsum("kab,kab->k", stack.imag, stack.imag)
+    f = np.sqrt(squares)
+    exceeds = f * ((1.0 - NORM_BOUND_SLACK) / math.sqrt(min(stack.shape[1:]))) > tol
+    decided = exceeds | (f * (1.0 + NORM_BOUND_SLACK) <= tol)
+    if stack.dtype in _BOUND_DTYPES and stack[0].size <= _BOUND_MAX_ENTRIES:
+        in_range = (_BOUND_FLOOR <= f) & (f <= _BOUND_CEIL)
+        if not in_range.all():
+            # an all-zero matrix has operator norm exactly 0.0, which the bounds (0, 0) decide
+            in_range |= ~stack.any(axis=(1, 2))
+        decided &= in_range
+    else:
+        decided[:] = False
+    if not decided.all():
+        for k in np.flatnonzero(~decided):
+            exceeds[k] = op_norm(stack[k]) > tol
+    return exceeds, f
+
+
 def max_op_norm(mats) -> tuple[float, int | None]:
     """Largest `op_norm` over `mats`, starting from 0.0, and the index of the
     first matrix attaining it (None when no norm exceeds 0.0).
@@ -182,6 +215,13 @@ def max_op_norm(mats) -> tuple[float, int | None]:
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product tr(a^dagger b)."""
     return complex(np.vdot(a, b))
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.kron(a, b)` of two 2-D arrays bit for bit (the same products, signed
+    zeros included), without its call overhead at small sizes."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -235,6 +275,38 @@ def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> n
     return h
 
 
+def as_densities(states, psd_tols=None) -> tuple:
+    """`as_density(s, psd_tol=t)` of each state s with its tolerance t (default
+    `PSD_TOL`), raising the first refusal in order, from one stacked `eigvalsh`."""
+    def check(k, h, w):
+        psd_tol = PSD_TOL if psd_tols is None else psd_tols[k]
+        _check_density(w, float(np.real(np.trace(h))), psd_tol, TRACE_TOL)
+
+    return _spectral_checks(states, check)
+
+
+def _spectral_checks(mats, check) -> tuple:
+    """`as_hermitian` of each of `mats`, each then passed with its index and
+    eigenvalues to `check(k, h, w)`, which raises on a refusal.  The first refusal
+    in order is raised, as by a loop of per-matrix checks; the spectra come from
+    one `eigvalsh` of the stack where all matrices share one shape."""
+    hs, refusal = [], None
+    for a in mats:
+        try:
+            hs.append(as_hermitian(a))
+        except OperatorError as exc:
+            refusal = exc
+            break
+    if hs:
+        spectra = (np.linalg.eigvalsh(np.stack(hs)) if len({h.shape for h in hs}) == 1
+                   else map(np.linalg.eigvalsh, hs))
+        for k, (h, w) in enumerate(zip(hs, spectra)):
+            check(k, h, w)
+    if refusal is not None:
+        raise refusal
+    return tuple(hs)
+
+
 def _check_density(w, tr: float, psd_tol: float, trace_tol: float) -> None:
     """Refuse a density operator's eigenvalues `w` below -psd_tol or trace `tr` off 1."""
     if w.min() < -psd_tol:
@@ -258,12 +330,22 @@ def square_family(ops, what: str, error: type) -> tuple[tuple, int]:
 def as_effect(e, tol: float = PSD_TOL) -> np.ndarray:
     """Validated effect: Hermitian with spectrum in [-tol, 1 + tol]."""
     h = as_hermitian(e)
-    w = np.linalg.eigvalsh(h)
+    _check_effect(np.linalg.eigvalsh(h), tol)
+    return h
+
+
+def as_effects(effects, tol: float = PSD_TOL) -> tuple:
+    """`as_effect(e, tol)` of each effect, raising the first refusal in order,
+    from one stacked `eigvalsh`."""
+    return _spectral_checks(effects, lambda k, h, w: _check_effect(w, tol))
+
+
+def _check_effect(w, tol: float) -> None:
+    """Refuse an effect's eigenvalues `w` outside [-tol, 1 + tol]."""
     if w.min() < -tol or w.max() > 1.0 + tol:
         raise OperatorError(
             f"effect spectrum [{w.min():.3e}, {w.max():.3e}] leaves [0, 1] by more than {tol:.1e}"
         )
-    return h
 
 
 @dataclass(frozen=True)
@@ -278,8 +360,8 @@ class DiscretePOVM:
     tol: float = PSD_TOL
 
     def __post_init__(self):
-        effs, d = square_family((as_effect(e, tol=self.tol) for e in self.effects),
-                                "POVM effect", OperatorError)
+        effs, d = square_family(as_effects(self.effects, tol=self.tol), "POVM effect",
+                                OperatorError)
         object.__setattr__(self, "effects", effs)
         labels = self.labels if self.labels is not None else tuple(range(len(effs)))
         if len(labels) != len(effs):

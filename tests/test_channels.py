@@ -389,3 +389,74 @@ def test_swap_unitary_is_involutive_unitary():
     s = swap_unitary(3)
     np.testing.assert_allclose(s @ s, np.eye(9), atol=1e-15)
     np.testing.assert_allclose(s @ dagger(s), np.eye(9), atol=1e-15)
+
+
+def _loop_heisenberg(effects, states, a):
+    out = np.zeros(effects[0].shape, dtype=complex)
+    for g, s in zip(effects, states):
+        out += np.trace(s @ a) * g
+    return out
+
+
+def _loop_schrodinger(effects, states, rho):
+    out = np.zeros(states[0].shape, dtype=complex)
+    for g, s in zip(effects, states):
+        out += np.trace(g @ rho) * s
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(["pinching", "norm1", "generic"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_measure_prepare_actions_equal_the_per_term_loop(d, kind, seed):
+    """Both actions of a measure-and-prepare channel, whose weights come from one
+    stacked product, equal the per-term loop sum_i tr(.) X_i bit for bit; so do
+    those of its symmetric lift, which forms each s (x) s on its own."""
+    rng = np.random.default_rng(seed)
+    ch = random_eb_channel(d, rng, kind)
+    effects, states = ch.povm.effects, ch.states
+    lift = SymmetricLift(ch)
+    lifted = [np.kron(s, s) for s in states]
+    for _ in range(3):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        big = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        np.testing.assert_array_equal(ch.apply_heisenberg(x), _loop_heisenberg(effects, states, x))
+        np.testing.assert_array_equal(ch.apply_schrodinger(x),
+                                      _loop_schrodinger(effects, states, x))
+        np.testing.assert_array_equal(lift.apply_heisenberg(big),
+                                      _loop_heisenberg(effects, lifted, big))
+        np.testing.assert_array_equal(lift.apply_schrodinger(x),
+                                      _loop_schrodinger(effects, lifted, x))
+
+
+@pytest.mark.parametrize("d", [2, 8, 17, 32])
+def test_measure_prepare_actions_equal_the_loop_at_position_sizes(d):
+    """At the sizes of the position sweep (up to 17 atoms at 32 levels) the
+    batched actions still add the same terms in the same order."""
+    rng = np.random.default_rng(d)
+    u = random_unitary(d, rng)
+    k = min(d, 17)
+    cuts = np.array_split(np.arange(d), k)
+    effects = [u[:, c] @ dagger(u[:, c]) for c in cuts]
+    states = [e / len(c) for e, c in zip(effects, cuts)]
+    ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects)), states)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    np.testing.assert_array_equal(ch.apply_heisenberg(a),
+                                  _loop_heisenberg(ch.povm.effects, ch.states, a))
+    np.testing.assert_array_equal(ch.apply_schrodinger(a),
+                                  _loop_schrodinger(ch.povm.effects, ch.states, a))
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (2, 2), (2, 3), (4, 2)])
+def test_choi_actions_equal_their_np_kron_form(d_in, d_out):
+    rng = np.random.default_rng(d_in * 10 + d_out)
+    ch = choi_transform(random_kraus_channel(d_in, d_out, 2, rng))
+    rho = random_density(d_in, rng)
+    a = random_hermitian(d_out, rng)
+    dims = (d_in, d_out)
+    np.testing.assert_array_equal(
+        ch.apply_schrodinger(rho),
+        partial_trace(ch.matrix @ np.kron(rho.T, np.eye(d_out)), dims, side=1))
+    np.testing.assert_array_equal(
+        ch.apply_heisenberg(a),
+        partial_trace(ch.matrix @ np.kron(np.eye(d_in), a), dims, side=2).T)

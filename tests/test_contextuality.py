@@ -217,6 +217,21 @@ def test_pvm_embed_rejects_non_pvm_and_blowup():
         pvm_embed([0, 0, 1, 2], projs, [{0}])
 
 
+@pytest.mark.parametrize("projs, message", [
+    ([KET0, PLUS, KET1], "outcomes 'a' and 'b' are not orthogonal"),
+    ([KET0, KET1, PLUS], "outcomes 'a' and 'c' are not orthogonal"),
+    ([KET0, KET1, KET1], "outcomes 'b' and 'c' are not orthogonal"),
+    ([KET0, 2.0 * KET1, KET1], "outcome 'b' is not a projection"),
+    ([KET0, 2.0 * KET1, PLUS], "outcomes 'a' and 'c' are not orthogonal"),
+    ([KET0, PLUS, 2.0 * KET1], "outcomes 'a' and 'b' are not orthogonal"),
+])
+def test_pvm_embed_names_the_first_failing_check(projs, message):
+    """The stacked checks report what a loop over P_a^2 - P_a and then P_a P_b
+    (b after a), a in label order, meets first."""
+    with pytest.raises(OperatorError, match=message):
+        pvm_embed(["a", "b", "c"], projs, [{"a"}])
+
+
 @pytest.mark.parametrize("shift, fails", [(5e-13, False), (2e-12, True)])
 def test_pvm_embed_gate_stays_1e_12_for_an_exact_pvm(monkeypatch, shift, fails):
     """Exact 0/1 projections measure no defect, so the fixed-point gate is 1e-12:

@@ -6,6 +6,7 @@ from broadcastlab.fixedpoint import _cesaro_means
 from broadcastlab.cvmodels import (
     FockTruncation,
     binned_position_pvm,
+    binned_position_pvms,
     hermite_functions,
     position_embedding_sweep,
     qchannel_build,
@@ -471,3 +472,97 @@ def test_binned_position_input_validation():
         binned_position_pvm(-3.0, 3.0, 0, FockTruncation(8))
     with pytest.raises(OperatorError):
         FockTruncation(1)
+
+
+def _direct_bin(lo, hi, n_levels):
+    """int_lo^hi h_m h_n dx of one bin by its own node-doubling Gauss-Legendre rule."""
+    prev = None
+    for n_nodes in (64, 128, 256, 512, 1024):
+        xs, ws = np.polynomial.legendre.leggauss(n_nodes)
+        h = hermite_functions(n_levels, 0.5 * (hi - lo) * xs + 0.5 * (hi + lo))
+        mat = (h * (0.5 * (hi - lo) * ws)) @ h.T
+        if prev is not None and np.max(np.abs(mat - prev)) <= 1e-10:
+            return mat
+        prev = mat
+    raise AssertionError(f"reference bin [{lo}, {hi}] did not converge")
+
+
+@pytest.mark.parametrize("levels", [8, 24, 32, 64])
+@pytest.mark.parametrize("bins", [(2, 4, 8, 16), (3, 4, 5), (1,), (16, 2)])
+def test_shared_quadrature_matches_each_bin_integrated_alone(levels, bins):
+    """Every requested bin, summed from the intervals of the union of all
+    grids' edges, equals its own direct Gauss-Legendre integral within 1e-14,
+    nested or not; the complement completes each family to the identity."""
+    pvms = binned_position_pvms(-3.0, 3.0, bins, FockTruncation(levels))
+    assert len(pvms) == len(bins)
+    for n_bins, (effects, complement) in zip(bins, pvms):
+        edges = np.linspace(-3.0, 3.0, n_bins + 1)
+        assert len(effects) == n_bins
+        for lo, hi, e in zip(edges[:-1], edges[1:], effects):
+            assert e.dtype == complex and not e.imag.any()
+            assert np.abs(e.real - _direct_bin(lo, hi, levels)).max() <= 1e-14
+        np.testing.assert_array_equal(complement, np.eye(levels) - sum(effects))
+        # one grid alone takes the same path
+        alone, alone_complement = binned_position_pvm(-3.0, 3.0, n_bins, FockTruncation(levels))
+        for a, e in zip(alone, effects):
+            assert np.abs(a - e).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bins", [(1,), (2, 1), (1, 3)])
+def test_shared_quadrature_that_cannot_converge_raises(bins):
+    """A range far wider than the Hermite functions at 64 levels is not resolved
+    by 1024 nodes per interval: no bin is accepted without the 1e-10 test."""
+    with pytest.raises(OperatorError, match="did not converge to 1.0e-10"):
+        binned_position_pvms(-1000.0, 1000.0, bins, FockTruncation(64))
+
+
+def test_shared_quadrature_input_validation():
+    assert binned_position_pvms(-3.0, 3.0, (), FockTruncation(8)) == []
+    with pytest.raises(OperatorError):
+        binned_position_pvms(3.0, -3.0, (2,), FockTruncation(8))
+    with pytest.raises(OperatorError):
+        binned_position_pvms(-3.0, 3.0, (4, 0), FockTruncation(8))
+
+
+def _loop_repair(effects, seed):
+    """The repair with one diagonal and one projection per effect, for comparison."""
+    ops = [np.asarray(e, dtype=complex) for e in effects]
+    coeffs = 1.0 + np.random.default_rng(seed).random(len(ops))
+    generic = sum(c * 0.5 * (e + dagger(e)) for c, e in zip(coeffs, ops))
+    _, u = np.linalg.eigh(generic)
+    diags = np.stack([np.real(np.diag(dagger(u) @ e @ u)) for e in ops])
+    assignment = np.argmax(diags, axis=0)
+    return [(u * np.where(assignment == i, 1.0, 0.0)) @ dagger(u) for i in range(len(ops))]
+
+
+@pytest.mark.parametrize("levels", [8, 24, 32])
+@pytest.mark.parametrize("seed", [0, 1, 5, 11])
+def test_repair_assignment_is_unchanged(levels, seed):
+    """The batched repair equals the per-effect loop bit for bit, and the shared
+    quadrature's families round to the same one-hot assignment (the same
+    projection ranks) as families of bins integrated one by one."""
+    bins = (2, 4, 8, 16)
+    for n_bins, (effects, complement) in zip(
+            bins, binned_position_pvms(-3.0, 3.0, bins, FockTruncation(levels))):
+        family = effects + [complement]
+        projections, distance = repair_to_commuting_projections(family, seed=seed)
+        for p, q in zip(projections, _loop_repair(family, seed)):
+            np.testing.assert_array_equal(p, q)
+        assert distance == max_op_norm(p - e for p, e in zip(projections, family))[0]
+        edges = np.linspace(-3.0, 3.0, n_bins + 1)
+        direct = [_direct_bin(lo, hi, levels) for lo, hi in zip(edges[:-1], edges[1:])]
+        reference = _loop_repair(direct + [np.eye(levels) - sum(direct)], seed)
+        assert ([round(np.trace(p).real) for p in projections]
+                == [round(np.trace(p).real) for p in reference])
+
+
+def test_sweep_trace_defect_is_the_projectivity_norm():
+    """The sweep reads ||E^2 - E|| from the eigenvalues of the Hermitian bin
+    effects; it agrees with the operator norm to rounding."""
+    trunc = FockTruncation(24)
+    rows = position_embedding_sweep([2, 4, 8, 16], trunc)
+    for row, (effects, complement) in zip(rows, binned_position_pvms(-3.0, 3.0, (2, 4, 8, 16),
+                                                                      trunc)):
+        family = effects + [complement]
+        want = max_op_norm(e @ e - e for e in family)[0]
+        assert row["trace_defect"] == pytest.approx(want, rel=1e-13)

@@ -13,19 +13,25 @@ from families import random_density, random_hermitian, random_unitary
 from broadcastlab.channels import ChannelError, ChoiChannel, KrausChannel, swap_unitary
 from broadcastlab.operators import (
     HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
+    as_densities,
     as_density,
     as_effect,
+    as_effects,
     as_hermitian,
     commutator_defect,
     dagger,
     eig_hermitian,
     frob_norm,
+    kron,
     max_op_norm,
     op_norm,
     op_norm_exceeds,
+    op_norms_exceed,
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
@@ -353,10 +359,18 @@ def _matrix_and_tol(draw):
 @example((_F32_RANK_ONE, frob_norm(_F32_RANK_ONE) * (1 + 2 ** -25)))
 def test_op_norm_exceeds_equals_svd_form(case):
     a, tol = case
+    stack = np.stack([a, np.zeros_like(a), a])
     for t in (tol, *_edge_tols(a)):
         got = op_norm_exceeds(a, t)
         assert type(got) is bool
         assert got == (op_norm(a) > t), t
+        # the stacked form decides each matrix the same way
+        exceeds, norms = op_norms_exceed(stack, t)
+        assert exceeds.tolist() == [got, 0.0 > t, got], t
+    assert norms[1] == 0.0
+    f = frob_norm(a)
+    if 0.0 < f < math.inf and norms[0] < math.inf:
+        assert norms[0] == pytest.approx(f, rel=1e-13)
 
 
 def _max_op_norm_reference(mats):
@@ -495,3 +509,109 @@ def test_as_hermitian_takes_no_svd_where_the_bounds_decide(monkeypatch, caplog):
         np.testing.assert_array_equal(as_hermitian(inside), 0.5 * (inside + dagger(inside)))
     assert calls == []
     assert any("absorbed residual at most" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kron_equals_np_kron_bit_for_bit(d):
+    """The broadcast product is np.kron's products, signed zeros included: for
+    identity factors of either side, real or complex operands, and operands
+    holding -0.0 entries."""
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.3] = -0.0
+    a.imag[rng.random((d, d)) < 0.3] = -0.0
+    b = rng.standard_normal((d, d + 1))
+    b[rng.random(b.shape) < 0.3] = -0.0
+    eye = np.eye(d)
+    for x, y in ((eye, a), (a.T, eye), (a, a), (b, a), (a, b), (b.T, b), (-eye, a)):
+        got, want = kron(x, y), np.kron(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(np.imag(got)), np.signbit(np.imag(want)))
+
+
+def _spectrum_family(data, d, k, edges):
+    """k Hermitian d x d matrices whose eigenvalues sit at 0 or 1 shifted past
+    them by up to three times `edges[i]`, or inside [0, 1]; one may carry an
+    anti-Hermitian part the Hermiticity check refuses."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for i in range(k):
+        kinds = rng.integers(0, 3, d)
+        shift = data.draw(st.floats(-3.0, 3.0)) * edges[i]
+        w = np.where(kinds == 0, -shift, np.where(kinds == 1, 1.0 + shift, rng.random(d)))
+        u = random_unitary(d, rng) if data.draw(st.booleans()) else np.eye(d)
+        mats.append(u @ np.diag(w) @ dagger(u))
+    if data.draw(st.booleans()):
+        bad = data.draw(st.integers(0, k - 1))
+        mats[bad] = mats[bad] + 1e-6j * random_hermitian(d, rng)
+    return mats
+
+
+def _outcome(fn):
+    """('ok', result) or ('refused', message) of fn()."""
+    try:
+        return "ok", fn()
+    except OperatorError as exc:
+        return "refused", str(exc)
+
+
+def _assert_same_outcome(got, want):
+    """Both refused with one message, or both accepted with equal matrices."""
+    assert got[0] == want[0]
+    if got[0] == "refused":
+        assert got[1] == want[1]
+    else:
+        assert len(got[1]) == len(want[1])
+        for g, w in zip(got[1], want[1]):
+            np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 5))
+def test_stacked_effect_check_refuses_where_each_effect_check_does(data, d, k):
+    """`as_effects` and `DiscretePOVM`, which check all effects with one stacked
+    eigvalsh, refuse exactly where `as_effect` of each effect in turn does, with
+    the first failing effect's message, and otherwise return the same matrices."""
+    tol = data.draw(st.sampled_from([PSD_TOL, 1e-8, 1e-6]))
+    mats = _spectrum_family(data, d, k, [tol] * k)
+    want = _outcome(lambda: tuple(as_effect(e, tol=tol) for e in mats))
+    _assert_same_outcome(_outcome(lambda: as_effects(mats, tol=tol)), want)
+    if want[0] == "refused":
+        _assert_same_outcome(_outcome(lambda: DiscretePOVM(tuple(mats), tol=tol)), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(1, 5))
+def test_stacked_state_check_refuses_where_each_state_check_does(data, d, k):
+    """`as_densities`, each state at its own tolerance (PSD_TOL up to the large
+    derived tolerances of a PVM embedding's atom states) or at PSD_TOL by
+    default, refuses exactly where `as_density` of each state in turn does,
+    with the same message."""
+    tols = [PSD_TOL * 10.0 ** data.draw(st.floats(0.0, 4.0)) for _ in range(k)]
+    mats = _spectrum_family(data, d, k, tols)
+    # unit trace up to three times the trace tolerance
+    mats = [m / np.trace(m).real * (1.0 + data.draw(st.floats(-3.0, 3.0)) * TRACE_TOL)
+            if abs(np.trace(m).real) > 0.5 else m for m in mats]
+    _assert_same_outcome(_outcome(lambda: as_densities(mats, tols)),
+                         _outcome(lambda: tuple(as_density(s, psd_tol=t)
+                                                for s, t in zip(mats, tols))))
+    _assert_same_outcome(_outcome(lambda: as_densities(mats)),
+                         _outcome(lambda: tuple(as_density(s) for s in mats)))
+
+
+def test_stacked_checks_of_mixed_shapes_refuse_in_order():
+    """Matrices of two shapes are checked one by one, in order: a bad spectrum
+    before the odd shape is reported, as `as_effect` in turn would; a valid
+    family of two shapes is refused by the POVM's shape check."""
+    bad = np.diag([1.5, 0.0])
+    with pytest.raises(OperatorError, match="effect spectrum"):
+        as_effects([np.eye(2), bad, np.eye(3)])
+    with pytest.raises(OperatorError, match="effect spectrum"):
+        DiscretePOVM((np.eye(2), bad, np.eye(3)))
+    with pytest.raises(OperatorError, match="must share one dimension"):
+        DiscretePOVM((np.eye(2), np.eye(3)))
+    with pytest.raises(OperatorError, match="eigenvalue"):
+        as_densities([np.diag([0.5, 0.5]), np.diag([1.5, -0.5]), np.eye(3) / 3])
+    assert len(as_densities([np.diag([0.5, 0.5]), np.eye(3) / 3])) == 2

@@ -53,3 +53,40 @@ def test_float_drift_is_measured_against_rtol(tmp_path, capsys, rtol, code):
 ])
 def test_any_other_difference_fails_at_every_rtol(tmp_path, edit):
     assert report_drift.main(_trees(tmp_path, edit) + ["--rtol", "1.0"]) == 1
+
+
+def _rounding_level_trees(tmp_path):
+    """Two trees whose only difference is a rounding-level float, 1e-15 against
+    1.5e-15: absolute deviation 5e-16, relative deviation 1/3."""
+    trees = []
+    for side, value in (("a", 1e-15), ("b", 1.5e-15)):
+        doc = json.loads(json.dumps(_REPORT))
+        doc["result"]["mass"]["10"] = value
+        (tmp_path / side / "reports").mkdir(parents=True)
+        (tmp_path / side / "reports" / "r.json").write_text(json.dumps(doc))
+        trees.append(str(tmp_path / side))
+    return trees
+
+
+@pytest.mark.parametrize("bounds, code", [
+    ([], 1),                                     # the default: byte-identical only
+    (["--atol", "1e-15"], 0),                    # within atol only
+    (["--rtol", "0.5"], 0),                      # within rtol only
+    (["--atol", "1e-16", "--rtol", "0.1"], 1),   # beyond both
+])
+def test_float_drift_passes_within_either_bound(tmp_path, capsys, bounds, code):
+    assert report_drift.main(_rounding_level_trees(tmp_path) + bounds) == code
+    out = capsys.readouterr().out
+    assert "$.result.mass.10  abs 5.000e-16  rel 3.333e-01" in out
+    assert ("beyond bounds" in out) == (code == 1)
+
+
+def test_atol_does_not_excuse_a_large_move(tmp_path):
+    """A value of order one that moves by 5.6e-17 passes atol 1e-15; one that
+    moves by 5e-4 fails it together with an rtol below its relative deviation."""
+    (tmp_path / "ulp").mkdir()
+    assert report_drift.main(_trees(tmp_path / "ulp", _moved) + ["--atol", "1e-15"]) == 0
+    (tmp_path / "big").mkdir()
+    trees = _trees(tmp_path / "big",
+                   lambda doc: doc["result"]["moduli"].__setitem__(0, 0.5005) or doc)
+    assert report_drift.main(trees + ["--atol", "1e-15", "--rtol", "1e-4"]) == 1

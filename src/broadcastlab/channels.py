@@ -142,7 +142,8 @@ class MeasurePrepareChannel:
         if len(self.states) != len(povm):
             raise ChannelError("need exactly one prepared state per POVM effect")
         self.povm, self.d_in = povm, povm.dim
-        self._effect_stack, self._state_stack = np.stack(povm.effects), np.stack(self.states)
+        # np.array stacks the equal-shaped matrices at a fraction of np.stack's call cost
+        self._effect_stack, self._state_stack = np.array(povm.effects), np.array(self.states)
 
     def _prepared(self):
         return self.states

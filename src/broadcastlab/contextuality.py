@@ -32,7 +32,6 @@ from .operators import (
     max_op_norm,
     op_norm,
     op_norm_exceeds,
-    op_norms_exceed,
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
@@ -203,30 +202,21 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
             raise OperatorError(f"subset {k} uses labels outside the outcome alphabet")
 
     # single-PVM check at atom level: idempotent, mutually orthogonal, complete;
-    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b).
-    # The products are checked in label order, in blocks of whole rows that stop
-    # once they hold 256 kB.
+    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b)
     defect = 0.0
-    stack = np.stack(projs)
-    block, pairs = [], []
     for i, p in enumerate(projs):
-        products = p @ stack[i:]  # P_i P_j for j >= i; the first becomes P_i^2 - P_i
-        products[0] -= p
-        block.append(products)
-        pairs += [(i, j) for j in range(i, len(projs))]
-        if i + 1 < len(projs) and len(pairs) * p.nbytes < 2 ** 18:
-            continue
-        exceeds, norms = op_norms_exceed(np.concatenate(block), tol)
-        if exceeds.any():
-            a, b = pairs[int(np.argmax(exceeds))]
-            if a == b:
-                raise OperatorError(f"outcome {labels[a]!r} is not a projection")
-            raise OperatorError(
-                f"outcomes {labels[a]!r} and {labels[b]!r} are not orthogonal; "
-                "inputs are not effects of a single PVM"
-            )
-        defect = max(defect, float(norms.max()))
-        block, pairs = [], []
+        r = p @ p - p
+        if op_norm_exceeds(r, tol):
+            raise OperatorError(f"outcome {labels[i]!r} is not a projection")
+        defect = max(defect, frob_norm(r))
+        for j in range(i + 1, len(projs)):
+            r = p @ projs[j]
+            if op_norm_exceeds(r, tol):
+                raise OperatorError(
+                    f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
+                    "inputs are not effects of a single PVM"
+                )
+            defect = max(defect, frob_norm(r))
     complete = sum(projs) - np.eye(d)
     if op_norm_exceeds(complete, tol):
         raise OperatorError("atom-level projections do not sum to the identity")

@@ -123,12 +123,8 @@ class TruncatedChannel:
         return v[self._gather][..., None].view(float)
 
     def _from_sectors(self, v, y) -> np.ndarray:
-        """The operator of padded v with its filled sectors' columns set to y[0] + i y[1].
-
-        A real y, a fresh C-ordered (k, n, 2) array from a real action, is read as
-        complex numbers in place; a complex y, from a complex action, is combined."""
-        v[self._gather] = (y.view(complex)[..., 0] if y.dtype == float
-                           else y[..., 0] + 1j * y[..., 1])
+        """The operator of padded v with its filled sectors' columns set to y[0] + i y[1]."""
+        v[self._gather] = y[..., 0] + 1j * y[..., 1]
         return unvec(v[:-1], self.levels)
 
     def apply(self, t) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "trace_norm",
     "frob_norm",
     "op_norm_exceeds",
-    "op_norms_exceed",
     "max_op_norm",
     "hs_inner",
     "kron",
@@ -164,35 +163,6 @@ def op_norm_exceeds(a, tol: float) -> bool:
     return op_norm(a) > tol
 
 
-def op_norms_exceed(stack, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`op_norm_exceeds(a, tol)` for each matrix a of a (k, m, n) stack, and the
-    Frobenius norms whose bounds decided it.
-
-    All k norms come from one product per real and imaginary part, summed in
-    another order than `frob_norm`'s, which `NORM_BOUND_SLACK` allows; the SVD
-    is taken only of a matrix whose bounds do not decide."""
-    stack = np.asarray(stack)
-    with np.errstate(over="ignore"):  # squares past 2^1024 give inf, left undecided below
-        squares = np.einsum("kab,kab->k", stack.real, stack.real)
-        if stack.dtype.kind == "c":
-            squares += np.einsum("kab,kab->k", stack.imag, stack.imag)
-    f = np.sqrt(squares)
-    exceeds = f * ((1.0 - NORM_BOUND_SLACK) / math.sqrt(min(stack.shape[1:]))) > tol
-    decided = exceeds | (f * (1.0 + NORM_BOUND_SLACK) <= tol)
-    if stack.dtype in _BOUND_DTYPES and stack[0].size <= _BOUND_MAX_ENTRIES:
-        in_range = (_BOUND_FLOOR <= f) & (f <= _BOUND_CEIL)
-        if not in_range.all():
-            # an all-zero matrix has operator norm exactly 0.0, which the bounds (0, 0) decide
-            in_range |= ~stack.any(axis=(1, 2))
-        decided &= in_range
-    else:
-        decided[:] = False
-    if not decided.all():
-        for k in np.flatnonzero(~decided):
-            exceeds[k] = op_norm(stack[k]) > tol
-    return exceeds, f
-
-
 def max_op_norm(mats) -> tuple[float, int | None]:
     """Largest `op_norm` over `mats`, starting from 0.0, and the index of the
     first matrix attaining it (None when no norm exceeds 0.0).
@@ -298,7 +268,7 @@ def _spectral_checks(mats, check) -> tuple:
             refusal = exc
             break
     if hs:
-        spectra = (np.linalg.eigvalsh(np.stack(hs)) if len({h.shape for h in hs}) == 1
+        spectra = (np.linalg.eigvalsh(np.array(hs)) if len({h.shape for h in hs}) == 1
                    else map(np.linalg.eigvalsh, hs))
         for k, (h, w) in enumerate(zip(hs, spectra)):
             check(k, h, w)

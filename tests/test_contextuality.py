@@ -226,10 +226,27 @@ def test_pvm_embed_rejects_non_pvm_and_blowup():
     ([KET0, PLUS, 2.0 * KET1], "outcomes 'a' and 'b' are not orthogonal"),
 ])
 def test_pvm_embed_names_the_first_failing_check(projs, message):
-    """The stacked checks report what a loop over P_a^2 - P_a and then P_a P_b
-    (b after a), a in label order, meets first."""
+    """pvm_embed reports what its loop over P_a^2 - P_a and then P_a P_b (b after
+    a), a in label order, meets first."""
     with pytest.raises(OperatorError, match=message):
         pvm_embed(["a", "b", "c"], projs, [{"a"}])
+
+
+@pytest.mark.parametrize("last, message", [
+    ("overlap", "outcomes 30 and 31 are not orthogonal"),
+    ("scaled", "outcome 31 is not a projection"),
+])
+def test_pvm_embed_refuses_a_defect_in_its_last_labels_at_d32(last, message):
+    """At d = 32, with 32 labels, a defect that only the last products show is
+    still found and named."""
+    projs = [np.diag(np.eye(32)[k]).astype(complex) for k in range(32)]
+    if last == "overlap":
+        v = (np.eye(32)[30] + np.eye(32)[31]) / np.sqrt(2.0)
+        projs[31] = np.outer(v, v).astype(complex)
+    else:
+        projs[31] = 2.0 * projs[31]
+    with pytest.raises(OperatorError, match=message):
+        pvm_embed(list(range(32)), projs, [{0}])
 
 
 @pytest.mark.parametrize("shift, fails", [(5e-13, False), (2e-12, True)])

@@ -75,15 +75,11 @@ class KrausChannel:
         self.d_out = d_out
 
     def apply_schrodinger(self, rho) -> np.ndarray:
-        rho = as_complex_matrix(rho)
-        if rho.shape != (self.d_in, self.d_in):
-            raise ChannelError(f"operand shape {rho.shape} does not match d_in={self.d_in}")
+        rho = _operand(rho, self.d_in, "d_in")
         return sum(k @ rho @ dagger(k) for k in self.kraus_ops)
 
     def apply_heisenberg(self, a) -> np.ndarray:
-        a = as_complex_matrix(a)
-        if a.shape != (self.d_out, self.d_out):
-            raise ChannelError(f"operand shape {a.shape} does not match d_out={self.d_out}")
+        a = _operand(a, self.d_out, "d_out")
         return sum(dagger(k) @ a @ k for k in self.kraus_ops)
 
 
@@ -111,14 +107,29 @@ class ChoiChannel:
         self.d_out = d_out
 
     def apply_schrodinger(self, rho) -> np.ndarray:
-        rho = as_complex_matrix(rho)
-        lifted = kron(rho.T, np.eye(self.d_out))
-        return partial_trace(self.matrix @ lifted, (self.d_in, self.d_out), side=1)
+        rho = _operand(rho, self.d_in, "d_in")
+        return _choi_action(self.matrix, rho, self.d_in, self.d_out, "schrodinger")
 
     def apply_heisenberg(self, a) -> np.ndarray:
-        a = as_complex_matrix(a)
-        lifted = kron(np.eye(self.d_in), a)
-        return partial_trace(self.matrix @ lifted, (self.d_in, self.d_out), side=2).T
+        a = _operand(a, self.d_out, "d_out")
+        return _choi_action(self.matrix, a, self.d_in, self.d_out, "heisenberg")
+
+
+def _operand(x, d: int, side: str) -> np.ndarray:
+    """`x` as a complex matrix, after raising `ChannelError` unless it is d x d,
+    where d is the channel's `side` dimension ("d_in" or "d_out")."""
+    x = as_complex_matrix(x)
+    if x.shape != (d, d):
+        raise ChannelError(f"operand shape {x.shape} does not match {side}={d}")
+    return x
+
+
+def _choi_action(j, x, d_in: int, d_out: int, picture: str) -> np.ndarray:
+    """The action on `x` of the map with Choi matrix `j`: tr_1[J (x^T (x) I)] in the
+    Schrodinger picture, tr_2[J (I (x) x)]^T in the Heisenberg picture."""
+    if picture == "schrodinger":
+        return partial_trace(j @ kron(x.T, np.eye(d_out)), (d_in, d_out), side=1)
+    return partial_trace(j @ kron(np.eye(d_in), x), (d_in, d_out), side=2).T
 
 
 class MeasurePrepareChannel:
@@ -153,16 +164,12 @@ class MeasurePrepareChannel:
         return np.trace(self._state_stack @ a, axis1=1, axis2=2)
 
     def apply_schrodinger(self, rho) -> np.ndarray:
-        rho = as_complex_matrix(rho)
-        if rho.shape != (self.d_in, self.d_in):
-            raise ChannelError(f"operand shape {rho.shape} does not match d_in={self.d_in}")
+        rho = _operand(rho, self.d_in, "d_in")
         weights = np.trace(self._effect_stack @ rho, axis1=1, axis2=2)
         return _weighted_sum(weights, self._prepared(), self.d_out)
 
     def apply_heisenberg(self, a) -> np.ndarray:
-        a = as_complex_matrix(a)
-        if a.shape != (self.d_out, self.d_out):
-            raise ChannelError(f"operand shape {a.shape} does not match d_out={self.d_out}")
+        a = _operand(a, self.d_out, "d_out")
         return _weighted_sum(self._state_weights(a), self.povm.effects, self.d_in)
 
     def choi(self) -> ChoiChannel:
@@ -198,8 +205,8 @@ class SymmetricLift(MeasurePrepareChannel):
         # The d x d eigensolver and the products round by less than a further 8 d^2 ulps.
         d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
         rounding = 8.0 * d * d * np.finfo(float).eps
-        for s in base.states:
-            w = np.linalg.eigvalsh(s)
+        # the base's states as a stack: a lift of a 1 x 1 lift has no `_state_stack`
+        for s, w in zip(base.states, np.linalg.eigvalsh(np.array(base.states))):
             _check_density(np.multiply.outer(w, w), float(np.real(np.trace(s))) ** 2,
                            psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                            trace_tol=delta * (2.0 + delta) + rounding)

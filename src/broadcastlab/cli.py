@@ -1,9 +1,9 @@
 """Batch experiment runner: load operator/channel JSON, dispatch the deciders
 and CV sweeps, emit deterministic JSON reports (and CSV for sweeps).
 
-Exit codes: 0 completed analysis (any verdict), 2 parse/schema failure or an
-invalid option value, 3 dimension cap or memory exhausted, 4 internal
-numerical failure."""
+Exit codes: 0 completed analysis (any verdict), 2 parse/schema failure, an
+operator that fails its decider's check or an invalid option value, 3
+dimension cap or memory exhausted, 4 internal numerical failure."""
 
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .cvmodels import (
     sweep_rows_to_csv,
 )
 from .fixedpoint import FixedPointError, fixedpoint_report
-from .operators import OperatorError, as_density, as_effect
+from .operators import OperatorError
 from .serialization import (
     SchemaError,
     _expect_keys,
@@ -54,14 +54,14 @@ EXIT_CAP = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_operators(path, key, validate, required, optional=()):
+def _load_operators(path, key, required, optional=()):
     doc = load_json_file(path)
     _expect_keys(doc, required, optional)
-    return operators_field(doc, key, validate), doc
+    return operators_field(doc, key), doc
 
 
 def _run_check_states(args) -> dict:
-    states, _ = _load_operators(args.input, "states", as_density, ("states",))
+    states, _ = _load_operators(args.input, "states", ("states",))
     verdict = check_states(states, tol=args.tol, seed=args.seed)
     residuals = [r for r in (verdict.max_fix_residual, verdict.max_marginal_residual)
                  if r is not None]
@@ -77,7 +77,7 @@ def _run_check_states(args) -> dict:
 
 
 def _run_check_meas(args) -> dict:
-    effects, doc = _load_operators(args.input, "effects", as_effect, ("effects",), ("picture",))
+    effects, doc = _load_operators(args.input, "effects", ("effects",), ("picture",))
     picture = doc.get("picture", "heisenberg")
     verdict = decide_measurements(effects, picture=picture, budget=args.budget, tol=args.tol)
     return {
@@ -121,8 +121,7 @@ def _run_pvm_embed(args) -> dict:
 
 
 def _run_approx_check(args) -> dict:
-    effects, doc = _load_operators(args.input, "effects", as_effect,
-                                   ("effects", "channel", "epsilon"))
+    effects, doc = _load_operators(args.input, "effects", ("effects", "channel", "epsilon"))
     epsilon = _number_field(doc["epsilon"], "$.epsilon")
     channel = channel_from_json(doc["channel"], "$.channel")
     result: ApproxCheckResult = approx_check(effects, channel, epsilon)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import (ChoiChannel, MeasurePrepareChannel, SymmetricLift, channel_matrix,
-                       choi_from_superoperator)
+from .channels import (ChoiChannel, MeasurePrepareChannel, SymmetricLift, _choi_action,
+                       channel_matrix, choi_from_superoperator)
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     PSD_TOL,
@@ -21,14 +21,12 @@ from .operators import (
     OperatorError,
     as_complex_matrix,
     as_densities,
-    as_effect,
     as_effects,
     as_hermitian,
     commutator_defect,
     dagger,
     frob_norm,
     hermitian_basis,
-    kron,
     max_op_norm,
     op_norm,
     op_norm_exceeds,
@@ -486,8 +484,9 @@ def decide_measurements(effects, picture: str = "heisenberg", budget: int = 2000
     `_verify_witness` reads at most `tol`, the loop's own stopping level.  Every
     other set, and a pinching that misses `tol`, goes to
     `check_measurements_feasibility` on a `FeasibilityProblem` built from the
-    same arguments.  The input is validated once, first, with the problem's
-    own checks, so both paths refuse the same inputs.
+    same arguments.  The input is validated first, with the problem's own
+    checks, so both paths refuse the same inputs; on the fall-through path
+    `FeasibilityProblem` repeats those checks on the validated effects.
     """
     effects = _checked_effects(effects, picture, budget)
     try:
@@ -606,14 +605,7 @@ def _verify_witness(effects, picture: str, j: np.ndarray) -> dict:
     jh = 0.5 * (j + dagger(j))
     w, wt = _eigvalsh(np.stack((jh, partial_transpose(jh, (d, d), side=1))))
     tp = op_norm(partial_trace(jh, (d, d), side=2) - np.eye(d))
-    fixing = []
-    eye = np.eye(d)
-    for e in effects:
-        if picture == "heisenberg":
-            img = partial_trace(jh @ kron(eye, e), (d, d), side=2).T
-        else:
-            img = partial_trace(jh @ kron(e.T, eye), (d, d), side=1)
-        fixing.append(op_norm(img - e))
+    fixing = [op_norm(_choi_action(jh, e, d, d, picture) - e) for e in effects]
     out = {
         "min_eigenvalue": float(w.min()),
         "min_ppt_eigenvalue": float(wt.min()),
@@ -646,8 +638,7 @@ def approx_check(effects, channel, epsilon: float) -> ApproxCheckResult:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     devs = []
-    for e in effects:
-        e = as_effect(e)
+    for e in as_effects(effects):
         diff = channel.apply_heisenberg(e) - e
         w = np.linalg.eigvalsh(0.5 * (diff + dagger(diff)))
         devs.append(float(np.max(np.abs(w))))

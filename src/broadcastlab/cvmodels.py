@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .contextuality import pvm_embed
 from .fixedpoint import _cesaro_means
 from .operators import (
     OperatorError,
@@ -458,8 +459,6 @@ def position_embedding_sweep(n_bins_list, trunc: FockTruncation, seed: int = 0) 
     fixed truncation, tracing how the continuum measurement escapes the
     finite window.
     """
-    from .contextuality import pvm_embed  # deferred to avoid a module cycle
-
     rows = []
     pvms = binned_position_pvms(-3.0, 3.0, [int(n_bins) for n_bins in n_bins_list], trunc)
     for n_bins, (effects, complement) in zip(n_bins_list, pvms):

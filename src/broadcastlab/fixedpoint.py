@@ -21,6 +21,7 @@ from .operators import (
     unvec,
     vec,
 )
+from .serialization import operator_to_json
 
 __all__ = [
     "FixedPointError",
@@ -462,8 +463,6 @@ def fixedpoint_report(channel, tol: float = 1e-9, seed: int = 0) -> dict:
     }
     if algebra is not None:
         decomp = atomic_decomposition(algebra, seed=seed)
-        from .serialization import operator_to_json  # local import to avoid a cycle
-
         report["product_table_residuals"] = {
             "commutativity": algebra.commutativity_residual,
             "associativity": algebra.associativity_residual,

@@ -69,18 +69,11 @@ def _number_field(value, path="$") -> float:
         raise SchemaError(f"{path}: number too large for a float") from None
 
 
-def operators_field(obj, key, validate=None, path="$") -> list:
-    """The operators listed at obj[key], element i read at `{path}.{key}[i]`.  `validate`,
-    if given, maps each one (`as_density`, `as_effect`), and an `OperatorError` it
-    raises becomes a `SchemaError` at `{path}.{key}`."""
-    mats = [operator_from_json(m, f"{path}.{key}[{i}]")
+def operators_field(obj, key, path="$") -> list:
+    """The operators listed at obj[key], element i read at `{path}.{key}[i]`.  They are
+    parsed only: whether they are states or effects is the decider's check."""
+    return [operator_from_json(m, f"{path}.{key}[{i}]")
             for i, m in enumerate(_list_field(obj, key, path))]
-    if validate is None:
-        return mats
-    try:
-        return [validate(m) for m in mats]
-    except OperatorError as exc:
-        raise SchemaError(f"{path}.{key}: {exc}") from exc
 
 
 def operator_to_json(matrix) -> dict:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -187,6 +189,17 @@ def test_apply_dispatch_and_dimension_check():
         ch.apply_schrodinger(np.eye(3))
 
 
+@pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare"])
+@pytest.mark.parametrize("picture, side", [("schrodinger", "d_in"), ("heisenberg", "d_out")])
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+def test_every_channel_refuses_an_operand_of_the_wrong_shape(kind, picture, side, shape):
+    ch = {"kraus": KrausChannel([np.eye(2)]), "choi": choi_transform(_pinching_channel(2)),
+          "measure_prepare": _pinching_channel(2)}[kind]
+    with pytest.raises(ChannelError, match=re.escape(
+            f"operand shape {shape} does not match {side}=2")):
+        apply(ch, np.ones(shape), picture)
+
+
 def test_choi_validation_rejects_bad_matrices():
     with pytest.raises(ChannelError):
         ChoiChannel(-np.eye(4), 2, 2)
@@ -255,6 +268,14 @@ def test_symmetric_lift_single_outcome():
     a, b = random_hermitian(d, rng), random_hermitian(d, rng)
     want = np.trace(sigma @ a) * np.trace(sigma @ b) * np.eye(d)
     np.testing.assert_allclose(lift.apply_heisenberg(np.kron(a, b)), want, atol=1e-13)
+
+
+def test_symmetric_lift_of_a_one_dimensional_lift():
+    """At d = 1 a lift is square, so it is a valid base: its states are read as
+    any base's are, through `states`."""
+    lift = symmetric_lift(symmetric_lift(_pinching_channel(1)))
+    assert (lift.d_in, lift.d_out) == (1, 1)
+    np.testing.assert_array_equal(lift.apply_heisenberg(np.eye(1)), np.eye(1))
 
 
 def test_symmetric_lift_marginal_identity():

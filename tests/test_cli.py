@@ -6,7 +6,7 @@ import pytest
 
 from families import random_commuting_states, rotated_mub_effects
 
-from broadcastlab.channels import SymmetricLift
+from broadcastlab.channels import SymmetricLift, choi_transform
 from broadcastlab.cli import main
 from broadcastlab.operators import partial_trace, trace_norm
 from broadcastlab.serialization import channel_from_json, operator_to_json
@@ -619,3 +619,56 @@ def test_reports_do_not_depend_on_the_log_level(tmp_path, caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert any("absorbed residual at most" in m for m in messages)
     assert any(m.startswith("dykstra cycle 100") for m in messages)
+
+
+def test_each_input_operator_is_spectrally_checked_once(tmp_path, monkeypatch):
+    """One `check-states`, one `check-meas` and one `approx-check` call each
+    hand every input operator to `np.linalg.eigvalsh` exactly once, as a matrix
+    or as a slice of a stack: the reader parses, and only the decider checks."""
+    states = [np.diag([0.7, 0.3]), np.diag([0.4, 0.6])]
+    pvm = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+    effects = [np.diag([0.25, 0.75]), np.diag([0.9, 0.1])]
+    runs = [("check-states", {"states": list(map(operator_to_json, states))}, states),
+            ("check-meas", {"effects": list(map(operator_to_json, pvm))}, pvm),
+            ("approx-check", {"effects": list(map(operator_to_json, effects)),
+                              "channel": _PINCH_CHANNEL, "epsilon": 0.1}, effects)]
+    eigvalsh = np.linalg.eigvalsh
+    for subcommand, doc, operators in runs:
+        path = _write(tmp_path, f"{subcommand}.json", doc)
+        seen = []
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        assert main([subcommand, "--input", path, "--output", str(tmp_path / "r.json")]) == 0
+        monkeypatch.undo()
+        for m in operators:
+            calls = [a for a in seen
+                     if any(np.array_equal(x, m) for x in (a if a.ndim == 3 else [a]))]
+            assert len(calls) == 1, (subcommand, m)
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    ("check-states", {"states": [operator_to_json(np.diag([1.5, -0.5]))]},
+     "density operator has eigenvalue"),
+    ("check-meas", {"effects": [operator_to_json(np.diag([1.5, 0.0]))]}, "effect spectrum"),
+    ("approx-check", {"effects": [operator_to_json(np.diag([1.5, 0.0]))],
+                      "channel": _PINCH_CHANNEL, "epsilon": 0.1}, "effect spectrum"),
+])
+def test_operator_failing_its_deciders_check_exits_2(tmp_path, capsys, subcommand, doc,
+                                                      message):
+    """A well-formed document whose operator fails the decider's check is invalid
+    input, reported with the decider's message."""
+    assert main([subcommand, "--input", _write(tmp_path, "doc.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid input: {message}")
+
+
+def test_approx_check_refuses_effects_of_the_wrong_shape_for_a_choi_channel(tmp_path, capsys):
+    channel = {"kind": "choi", "d_in": 2, "d_out": 2,
+               "matrix": operator_to_json(choi_transform(channel_from_json(_PINCH_CHANNEL))
+                                          .matrix)}
+    doc = {"effects": [operator_to_json(np.eye(3) / 2)], "channel": channel, "epsilon": 0.1}
+    assert main(["approx-check", "--input", _write(tmp_path, "doc.json", doc)]) == 2
+    assert "does not match d_out=2" in capsys.readouterr().err

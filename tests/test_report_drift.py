@@ -90,3 +90,12 @@ def test_atol_does_not_excuse_a_large_move(tmp_path):
     trees = _trees(tmp_path / "big",
                    lambda doc: doc["result"]["moduli"].__setitem__(0, 0.5005) or doc)
     assert report_drift.main(trees + ["--atol", "1e-15", "--rtol", "1e-4"]) == 1
+
+
+@pytest.mark.parametrize("a, b", [('{"x": 0.0}', '{"x": -0.0}'), ('{"x": 1.0}', '{"x":1.0}')])
+def test_files_equal_as_values_but_not_as_bytes_fail(tmp_path, capsys, a, b):
+    for side, text in (("a", a), ("b", b)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "r.json").write_text(text)
+    assert report_drift.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert "  differs  bytes only" in capsys.readouterr().out

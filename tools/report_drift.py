@@ -9,13 +9,14 @@ its largest absolute deviation |a - b| and largest relative deviation
 |a - b| / max(|a|, |b|) over the file; a field is the JSON path with list
 indices written as `[]`, so the entries of one list share a line.  Any other
 difference (a file present on one side only, a key, a length, a string, an
-integer, a bool, or a float on one side only) is printed and exits 1, and so
-does a float that moved by more than both bounds: a float passes if its
-absolute deviation is at most T or its relative deviation at most R (both
-default 0: only byte-identical floats pass).  The absolute bound is for
-rounding-level quantities, such as a residual near 1e-15, whose relative
-drift is O(1).  Exit 0 means every float is within its bounds and nothing
-else differs.
+integer, a bool, a float on one side only, or a file whose bytes differ
+although none of its values does, say -0.0 against 0.0) is printed and
+exits 1, and so does a float that moved by more than both bounds: a float
+passes if its absolute deviation is at most T or its relative deviation at
+most R (both default 0: only byte-identical floats pass).  The absolute
+bound is for rounding-level quantities, such as a residual near 1e-15, whose
+relative drift is O(1).  Exit 0 means every float is within its bounds and
+nothing else differs.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ def main(argv=None) -> int:
         walk(json.loads(fa.read_text(encoding="utf-8")),
              json.loads(fb.read_text(encoding="utf-8")), "$", drift, other,
              (args.rtol, args.atol))
+        if not (drift or other):  # say -0.0 against 0.0, or other spacing
+            other.append("bytes only")
         print(name)
         for line in other:
             print(f"  differs  {line}")

@@ -11,9 +11,10 @@ from .operators import (
     TRACE_TOL,
     DiscretePOVM,
     _check_density,
-    as_complex_matrix,
+    _trace,
     as_densities,
     as_hermitian,
+    as_matrix,
     dagger,
     kron,
     op_norm,
@@ -58,7 +59,7 @@ class KrausChannel:
     kind = "kraus"
 
     def __init__(self, kraus_ops):
-        ops = [as_complex_matrix(k) for k in kraus_ops]
+        ops = [as_matrix(k) for k in kraus_ops]
         if not ops:
             raise ChannelError("a Kraus channel needs at least one operator")
         d_out, d_in = ops[0].shape
@@ -116,9 +117,9 @@ class ChoiChannel:
 
 
 def _operand(x, d: int, side: str) -> np.ndarray:
-    """`x` as a complex matrix, after raising `ChannelError` unless it is d x d,
+    """`x` by `as_matrix`, after raising `ChannelError` unless it is d x d,
     where d is the channel's `side` dimension ("d_in" or "d_out")."""
-    x = as_complex_matrix(x)
+    x = as_matrix(x)
     if x.shape != (d, d):
         raise ChannelError(f"operand shape {x.shape} does not match {side}={d}")
     return x
@@ -177,10 +178,16 @@ class MeasurePrepareChannel:
 
 
 def _weighted_sum(weights, ops, d: int) -> np.ndarray:
-    """sum_i weights[i] ops[i] on d x d, added term by term in order."""
-    out = np.zeros((d, d), dtype=complex)
+    """sum_i weights[i] ops[i] on d x d, added term by term in order.  The sum
+    starts real and is promoted at the first term of another dtype, so it is real
+    only if every weight and operator is."""
+    out = np.zeros((d, d))
     for c, g in zip(weights, ops):
-        out += c * g
+        term = c * g
+        if term.dtype == out.dtype:
+            out += term
+        else:
+            out = out + term
     return out
 
 
@@ -207,7 +214,7 @@ class SymmetricLift(MeasurePrepareChannel):
         rounding = 8.0 * d * d * np.finfo(float).eps
         # the base's states as a stack: a lift of a 1 x 1 lift has no `_state_stack`
         for s, w in zip(base.states, np.linalg.eigvalsh(np.array(base.states))):
-            _check_density(np.multiply.outer(w, w), float(np.real(np.trace(s))) ** 2,
+            _check_density(np.multiply.outer(w, w), _trace(s) ** 2,
                            psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                            trace_tol=delta * (2.0 + delta) + rounding)
         self.base, self.povm, self.d_in, self.d_out = base, base.povm, d, d * d

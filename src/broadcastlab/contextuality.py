@@ -19,10 +19,10 @@ from .operators import (
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
-    as_complex_matrix,
     as_densities,
     as_effects,
     as_hermitian,
+    as_matrix,
     commutator_defect,
     dagger,
     frob_norm,
@@ -272,7 +272,7 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     )
 
     a_ks = (sum((proj_by_label[lab] for lab in labels if lab in kk),
-                np.zeros((d, d), dtype=complex)) for kk in subset_sets)
+                np.zeros((d, d), dtype=projs[0].dtype)) for kk in subset_sets)
     worst = max_op_norm(channel.apply_heisenberg(a_k) - a_k for a_k in a_ks)[0]
     # Gate: with atoms E_v (kept or dropped) of |v| of the L labels and A_k the sum
     # of those inside K_k, Phi*(A_k) - A_k = sum_kept (n_vk / tr E_v) E_v - (dropped
@@ -787,7 +787,7 @@ class ExtendedFunctional:
 
     def evaluate(self, a) -> np.ndarray:
         """Full linear extension on arbitrary operators."""
-        a = as_complex_matrix(a)
+        a = as_matrix(a)
         re = 0.5 * self.stage_hermitian(a + dagger(a))
         im = 0.5 * self.stage_hermitian(-1j * (a - dagger(a)))
         return re + 1j * im

@@ -19,7 +19,7 @@ from .contextuality import pvm_embed
 from .fixedpoint import _cesaro_means
 from .operators import (
     OperatorError,
-    as_complex_matrix,
+    as_matrix,
     dagger,
     frob_norm,
     max_op_norm,
@@ -113,7 +113,7 @@ class TruncatedChannel:
 
     def _padded(self, t) -> np.ndarray:
         """vec(t) followed by the zero slot that sector padding reads and writes."""
-        t = as_complex_matrix(t)
+        t = as_matrix(t)
         n = self.levels
         if t.shape != (n, n):
             raise OperatorError(f"operand shape {t.shape} does not match {n} levels")
@@ -417,8 +417,8 @@ def binned_position_pvms(a: float, b: float, n_bins_list, trunc: FockTruncation)
                             "did not converge to 1.0e-10")
     pvms = []
     for out in bins:
-        effects = list(out.astype(complex))
-        pvms.append((effects, np.eye(n, dtype=complex) - sum(effects)))
+        effects = list(out)
+        pvms.append((effects, np.eye(n) - sum(effects)))
     return pvms
 
 
@@ -438,7 +438,7 @@ def repair_to_commuting_projections(effects, seed: int = 0):
 
     Returns (projections, repair_distance) with the distance in operator norm.
     """
-    ops = [as_complex_matrix(e) for e in effects]
+    ops = [as_matrix(e) for e in effects]
     rng = np.random.default_rng(seed)
     coeffs = 1.0 + rng.random(len(ops))
     generic = sum(c * 0.5 * (e + dagger(e)) for c, e in zip(coeffs, ops))
@@ -466,9 +466,8 @@ def position_embedding_sweep(n_bins_list, trunc: FockTruncation, seed: int = 0) 
         projections, distance = repair_to_commuting_projections(family, seed=seed)
         labels = list(range(len(family)))
         embedding = pvm_embed(labels, projections, [{i} for i in range(len(effects))])
-        # ||E^2 - E|| = max |l^2 - l| over the eigenvalues l of a Hermitian E; the
-        # bin effects and their complement are real
-        w = np.linalg.eigvalsh(np.stack(family).real)
+        # ||E^2 - E|| = max |l^2 - l| over the eigenvalues l of a Hermitian E
+        w = np.linalg.eigvalsh(np.array(family))
         projectivity = np.max(np.abs(w * w - w))
         rows.append({
             "parameter": int(n_bins),

@@ -14,7 +14,7 @@ from .config import DimensionCapError, dimension_cap
 from .operators import (
     DiscretePOVM,
     OperatorError,
-    as_complex_matrix,
+    as_matrix,
     dagger,
     frob_norm,
     hs_inner,
@@ -175,7 +175,7 @@ def cesaro_apply(channel, a, n_terms: int = 1000, early_stop_tol: float = 1e-12,
     """
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
-    x = as_complex_matrix(a)
+    x = as_matrix(a)
     means = _cesaro_means(channel_matrix(channel, picture), vec(x), {n_terms, max(n_terms - 1, 1)})
     residual = frob_norm(means[n_terms] - means[n_terms - 1]) if n_terms > 1 else np.inf
     return CesaroResult(unvec(means[n_terms], x.shape[0]), n_terms, residual,
@@ -275,7 +275,7 @@ class BroadcastingAlgebra:
 
     def project(self, a) -> np.ndarray:
         """Apply psi_0."""
-        return unvec(self.projector @ vec(as_complex_matrix(a)), self.d)
+        return unvec(self.projector @ vec(as_matrix(a)), self.d)
 
     def coefficients_product(self, a_coeffs, b_coeffs) -> np.ndarray:
         """Broadcasting product in basis coefficients."""
@@ -293,7 +293,7 @@ class BroadcastingAlgebra:
         product table on the coefficients of psi_0(A) and psi_0(B).  An operand
         farther than 1e-8 * max(1, ||X||_F) from its projection is refused."""
         for name, x in (("left", a), ("right", b)):
-            x = as_complex_matrix(x)
+            x = as_matrix(x)
             resid = frob_norm(self.project(x) - x)
             if resid > 1e-8 * max(1.0, frob_norm(x)):
                 raise OperatorError(
@@ -310,8 +310,8 @@ def broadcasting_product(algebra: BroadcastingAlgebra, a, b) -> np.ndarray:
 
 def choi_effros_compare(algebra: BroadcastingAlgebra, a, b) -> float:
     """max deviation || psi_0(Phi*(A (x) B)) - psi_0(AB) ||_F."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
+    a = as_matrix(a)
+    b = as_matrix(b)
     return float(frob_norm(algebra.product(a, b) - algebra.project(a @ b)))
 
 

@@ -1,6 +1,7 @@
-"""Dense complex operator algebra: validated state/effect types, Hermitian
-eigendecomposition, tensor-factor operations, and simultaneous diagonalization
-of commuting families."""
+"""Dense operator algebra, in `float64` for real operators and `complex128` for
+all others: validated state/effect types, Hermitian eigendecomposition,
+tensor-factor operations, and simultaneous diagonalization of commuting
+families."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "OperatorError",
     "NotCommutingError",
-    "as_complex_matrix",
+    "as_matrix",
     "as_hermitian",
     "as_density",
     "as_effect",
@@ -70,9 +71,16 @@ class NotCommutingError(OperatorError):
         )
 
 
-def as_complex_matrix(a) -> np.ndarray:
-    """Coerce to a finite complex 2-D array."""
-    m = np.asarray(a, dtype=complex)
+_MATRIX_DTYPES = (np.dtype(float), np.dtype(complex))
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a finite 2-D array: `float64` stays `float64`, so a real
+    operator stays real, and every other dtype becomes `complex128`. A `float64`
+    or `complex128` array is returned as it is, not copied."""
+    m = np.asarray(a)
+    if m.dtype not in _MATRIX_DTYPES:
+        m = m.astype(complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise OperatorError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -214,7 +222,7 @@ def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     hi(A - H) <= tol * max(1, lo(A)) accepts and lo(A - H) > tol * max(1, hi(A))
     refuses, as the SVD form would, at every log level. The SVDs are taken where
     the bounds do not decide, and for the residual a refusal reports."""
-    a = as_complex_matrix(a)
+    a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise OperatorError(f"expected a square matrix, got {a.shape}")
     h = 0.5 * (a + dagger(a))
@@ -241,7 +249,7 @@ def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
 def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> np.ndarray:
     """Validated density operator: Hermitian, eigenvalues >= -psd_tol, trace 1."""
     h = as_hermitian(rho)
-    _check_density(np.linalg.eigvalsh(h), float(np.real(np.trace(h))), psd_tol, trace_tol)
+    _check_density(np.linalg.eigvalsh(h), _trace(h), psd_tol, trace_tol)
     return h
 
 
@@ -250,7 +258,7 @@ def as_densities(states, psd_tols=None) -> tuple:
     `PSD_TOL`), raising the first refusal in order, from one stacked `eigvalsh`."""
     def check(k, h, w):
         psd_tol = PSD_TOL if psd_tols is None else psd_tols[k]
-        _check_density(w, float(np.real(np.trace(h))), psd_tol, TRACE_TOL)
+        _check_density(w, _trace(h), psd_tol, TRACE_TOL)
 
     return _spectral_checks(states, check)
 
@@ -275,6 +283,13 @@ def _spectral_checks(mats, check) -> tuple:
     if refusal is not None:
         raise refusal
     return tuple(hs)
+
+
+def _trace(h) -> float:
+    """tr(h) of a Hermitian matrix: the sum of its real diagonal, added in one
+    order for float64 and complex128 (the real part of a complex128 `np.trace`
+    adds in another order from d = 4 on, an ulp apart)."""
+    return float(np.trace(h.real))
 
 
 def _check_density(w, tr: float, psd_tol: float, trace_tol: float) -> None:
@@ -386,7 +401,7 @@ def _check_bipartite(a: np.ndarray, dims) -> tuple[int, int]:
 
 def partial_trace(a, dims, side: int) -> np.ndarray:
     """Trace out tensor factor `side` (1 or 2) of an operator on dims (d1, d2)."""
-    a = as_complex_matrix(a)
+    a = as_matrix(a)
     d1, d2 = _check_bipartite(a, dims)
     t = a.reshape(d1, d2, d1, d2)
     if side == 1:
@@ -398,7 +413,7 @@ def partial_trace(a, dims, side: int) -> np.ndarray:
 
 def partial_transpose(a, dims, side: int = 1) -> np.ndarray:
     """Transpose tensor factor `side` of an operator on dims (d1, d2)."""
-    a = as_complex_matrix(a)
+    a = as_matrix(a)
     d1, d2 = _check_bipartite(a, dims)
     t = a.reshape(d1, d2, d1, d2)
     if side == 1:
@@ -413,7 +428,7 @@ def partial_transpose(a, dims, side: int = 1) -> np.ndarray:
 def commutator_defect(family) -> tuple[float, tuple[int, int]]:
     """Largest pairwise commutator norm and the first pair achieving it
     ((0, 0) when every pair commutes exactly)."""
-    ops = [as_complex_matrix(a) for a in family]
+    ops = [as_matrix(a) for a in family]
     pairs = [(i, j) for i in range(len(ops)) for j in range(i + 1, len(ops))]
     worst, k = max_op_norm(ops[i] @ ops[j] - ops[j] @ ops[i] for i, j in pairs)
     return worst, (0, 0) if k is None else pairs[k]
@@ -442,7 +457,7 @@ def simultaneous_diagonalize(family, tol: float = 1e-9, seed: int = 0) -> np.nda
     # a norm at most 1e-13 passes 1e-13 * max(1, ||a||) whatever ||a|| is
     if all(not op_norm_exceeds(offdiag(a), 1e-13)
            or op_norm(offdiag(a)) <= 1e-13 * max(1.0, op_norm(a)) for a in ops):
-        return np.eye(d, dtype=complex)
+        return np.eye(d, dtype=np.result_type(*ops))
 
     rng = np.random.default_rng(seed)
     draws = []

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .channels import ChoiChannel, KrausChannel, MeasurePrepareChannel, SymmetricLift
-from .operators import DiscretePOVM, OperatorError, as_complex_matrix
+from .operators import DiscretePOVM, OperatorError, as_matrix
 
 __all__ = [
     "SchemaError",
@@ -77,7 +77,7 @@ def operators_field(obj, key, path="$") -> list:
 
 
 def operator_to_json(matrix) -> dict:
-    m = as_complex_matrix(matrix)
+    m = as_matrix(matrix)
     return {
         "dim_row": int(m.shape[0]),
         "dim_col": int(m.shape[1]),
@@ -101,7 +101,7 @@ def operator_from_json(obj, path="$") -> np.ndarray:
         at = f"{path}.entries[{i}]"
         flat[i] = complex(_number_field(pair[0], at), _number_field(pair[1], at))
     try:
-        return as_complex_matrix(flat.reshape(rows, cols))
+        return as_matrix(flat.reshape(rows, cols))
     except OperatorError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
 

@@ -481,3 +481,82 @@ def test_choi_actions_equal_their_np_kron_form(d_in, d_out):
     np.testing.assert_array_equal(
         ch.apply_heisenberg(a),
         partial_trace(ch.matrix @ np.kron(np.eye(d_in), a), dims, side=2).T)
+
+
+def _gram_povm(d, k, real, rng):
+    """k effects on C^d normalised from random Gram matrices, real or complex."""
+    def factor():
+        g = rng.standard_normal((d, d))
+        return g if real else g + 1j * rng.standard_normal((d, d))
+
+    raw = [g @ dagger(g) for g in (factor() for _ in range(k))]
+    w, v = np.linalg.eigh(sum(raw))
+    inv_sqrt = (v / np.sqrt(w)) @ dagger(v)
+    return [inv_sqrt @ a @ inv_sqrt for a in raw]
+
+
+def _operator(d, real, rng):
+    x = rng.standard_normal((d, d))
+    return x if real else x + 1j * rng.standard_normal((d, d))
+
+
+def _state(d, real, rng):
+    g = _operator(d, real, rng)
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+def _assert_matches_complex(got, want, real):
+    """`got` is float64 exactly when all its inputs were, and equals `want`, the
+    action on their complex128 copies, within rounding."""
+    assert got.dtype == (np.float64 if real else np.complex128)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * max(1.0, np.abs(want).max()))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("effects_real", [True, False])
+@pytest.mark.parametrize("states_real", [True, False])
+@pytest.mark.parametrize("operand_real", [True, False])
+def test_measure_prepare_actions_on_real_and_complex_operators(d, effects_real, states_real,
+                                                               operand_real):
+    """Real effects, states and operands stay float64, and the actions promote as
+    they add the terms: in both pictures, of the channel and of its symmetric
+    lift, a result is real only when the effects, states and operand all are,
+    and it equals the action on their complex128 copies within rounding."""
+    rng = np.random.default_rng(100 * d + 4 * effects_real + 2 * states_real + operand_real)
+    effects = _gram_povm(d, 3, effects_real, rng)
+    states = [_state(d, states_real, rng) for _ in effects]
+    x, big = _operator(d, operand_real, rng), _operator(d * d, operand_real, rng)
+    ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects)), states)
+    ref = MeasurePrepareChannel(DiscretePOVM(tuple(e.astype(complex) for e in effects)),
+                                [s.astype(complex) for s in states])
+    assert ch._effect_stack.dtype == (np.float64 if effects_real else np.complex128)
+    assert ch._state_stack.dtype == (np.float64 if states_real else np.complex128)
+    real = effects_real and states_real and operand_real
+    for channel, reference, (rho, a) in ((ch, ref, (x, x)),
+                                         (SymmetricLift(ch), SymmetricLift(ref), (x, big))):
+        _assert_matches_complex(channel.apply_schrodinger(rho),
+                                reference.apply_schrodinger(rho.astype(complex)), real)
+        _assert_matches_complex(channel.apply_heisenberg(a),
+                                reference.apply_heisenberg(a.astype(complex)), real)
+
+
+@pytest.mark.parametrize("d_in, d_out, n_ops", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 3)])
+@pytest.mark.parametrize("operand_real", [True, False])
+def test_kraus_and_choi_actions_on_real_and_complex_operators(d_in, d_out, n_ops, operand_real):
+    """A channel with real Kraus operators, or with their real Choi matrix, keeps
+    them float64; its actions are real on a real operand and equal, within
+    rounding, the actions of the complex128 copies."""
+    rng = np.random.default_rng(10 * d_in + d_out + 100 * operand_real)
+    q, _ = np.linalg.qr(rng.standard_normal((d_out * n_ops, d_out * n_ops)))
+    kraus = [q[k * d_out:(k + 1) * d_out, :d_in] for k in range(n_ops)]
+    choi = choi_transform(KrausChannel(kraus)).matrix
+    assert not choi.imag.any()
+    pairs = ((KrausChannel(kraus), KrausChannel([k.astype(complex) for k in kraus])),
+             (ChoiChannel(choi.real, d_in, d_out), ChoiChannel(choi, d_in, d_out)))
+    rho, a = _operator(d_in, operand_real, rng), _operator(d_out, operand_real, rng)
+    for channel, reference in pairs:
+        _assert_matches_complex(channel.apply_schrodinger(rho),
+                                reference.apply_schrodinger(rho.astype(complex)), operand_real)
+        _assert_matches_complex(channel.apply_heisenberg(a),
+                                reference.apply_heisenberg(a.astype(complex)), operand_real)

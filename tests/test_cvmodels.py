@@ -454,6 +454,29 @@ def test_position_pvm_checks_take_no_svd(monkeypatch):
                                        for a in a_ks)
 
 
+def test_position_sweep_decomposes_only_real_matrices(monkeypatch, tmp_path):
+    """Every matrix that one `cv-position` call at 32 levels hands to `eigh`,
+    `eigvalsh` or `svd` is float64: the bins, the repair, the embedding's checks
+    and its fixed-point gate all stay in real arithmetic."""
+    from broadcastlab.cli import main
+
+    seen = []
+
+    def recording(fn):
+        def wrapped(a, *args, **kwargs):
+            seen.append((fn.__name__, np.asarray(a).dtype))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    assert main(["cv-position", "--levels", "32", "--seed", "11",
+                 "--output", str(tmp_path / "report.json")]) == 0
+    monkeypatch.undo()
+    assert {name for name, _ in seen} == {"eigh", "eigvalsh", "svd"}
+    assert [(name, dtype) for name, dtype in seen if dtype != np.float64] == []
+
+
 def test_bin_refinement_sweep_residual_grows():
     rows = position_embedding_sweep([2, 4, 8, 16], FockTruncation(32))
     resids = [row["residual"] for row in rows]
@@ -492,15 +515,16 @@ def _direct_bin(lo, hi, n_levels):
 def test_shared_quadrature_matches_each_bin_integrated_alone(levels, bins):
     """Every requested bin, summed from the intervals of the union of all
     grids' edges, equals its own direct Gauss-Legendre integral within 1e-14,
-    nested or not; the complement completes each family to the identity."""
+    nested or not, and is real; the complement completes each family to the
+    identity."""
     pvms = binned_position_pvms(-3.0, 3.0, bins, FockTruncation(levels))
     assert len(pvms) == len(bins)
     for n_bins, (effects, complement) in zip(bins, pvms):
         edges = np.linspace(-3.0, 3.0, n_bins + 1)
         assert len(effects) == n_bins
         for lo, hi, e in zip(edges[:-1], edges[1:], effects):
-            assert e.dtype == complex and not e.imag.any()
-            assert np.abs(e.real - _direct_bin(lo, hi, levels)).max() <= 1e-14
+            assert e.dtype == np.float64
+            assert np.abs(e - _direct_bin(lo, hi, levels)).max() <= 1e-14
         np.testing.assert_array_equal(complement, np.eye(levels) - sum(effects))
         # one grid alone takes the same path
         alone, alone_complement = binned_position_pvm(-3.0, 3.0, n_bins, FockTruncation(levels))
@@ -525,8 +549,9 @@ def test_shared_quadrature_input_validation():
 
 
 def _loop_repair(effects, seed):
-    """The repair with one diagonal and one projection per effect, for comparison."""
-    ops = [np.asarray(e, dtype=complex) for e in effects]
+    """The repair with one diagonal and one projection per effect, for comparison,
+    in the effects' own dtype."""
+    ops = [np.asarray(e) for e in effects]
     coeffs = 1.0 + np.random.default_rng(seed).random(len(ops))
     generic = sum(c * 0.5 * (e + dagger(e)) for c, e in zip(coeffs, ops))
     _, u = np.linalg.eigh(generic)
@@ -540,7 +565,9 @@ def _loop_repair(effects, seed):
 def test_repair_assignment_is_unchanged(levels, seed):
     """The batched repair equals the per-effect loop bit for bit, and the shared
     quadrature's families round to the same one-hot assignment (the same
-    projection ranks) as families of bins integrated one by one."""
+    projection ranks) as families of bins integrated one by one.  The real
+    family and its complex128 copy give the same ranks and a repair distance
+    within 1e-13 relative."""
     bins = (2, 4, 8, 16)
     for n_bins, (effects, complement) in zip(
             bins, binned_position_pvms(-3.0, 3.0, bins, FockTruncation(levels))):
@@ -552,8 +579,14 @@ def test_repair_assignment_is_unchanged(levels, seed):
         edges = np.linspace(-3.0, 3.0, n_bins + 1)
         direct = [_direct_bin(lo, hi, levels) for lo, hi in zip(edges[:-1], edges[1:])]
         reference = _loop_repair(direct + [np.eye(levels) - sum(direct)], seed)
-        assert ([round(np.trace(p).real) for p in projections]
-                == [round(np.trace(p).real) for p in reference])
+        ranks = [round(np.trace(p).real) for p in projections]
+        assert ranks == [round(np.trace(p).real) for p in reference]
+        cplx, cplx_distance = repair_to_commuting_projections(
+            [e.astype(complex) for e in family], seed=seed)
+        assert all(p.dtype == np.float64 for p in projections)
+        assert all(p.dtype == np.complex128 for p in cplx)
+        assert [round(np.trace(p).real) for p in cplx] == ranks
+        assert cplx_distance == pytest.approx(distance, rel=1e-13, abs=0.0)
 
 
 def test_sweep_trace_defect_is_the_projectivity_norm():

@@ -11,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from families import random_density, random_hermitian, random_unitary
 
 from broadcastlab.channels import ChannelError, ChoiChannel, KrausChannel, swap_unitary
+from broadcastlab.contextuality import pvm_embed
+from broadcastlab.cvmodels import repair_to_commuting_projections
 from broadcastlab.operators import (
     HERMITICITY_TOL,
     PSD_TOL,
@@ -233,8 +235,12 @@ def test_partial_transpose_involution():
 
 
 def test_simdiag_diagonal_family_is_identity():
+    """An already diagonal family gets the identity, real for a real family."""
     fam = [np.diag([1.0, 2.0, 3.0]), np.diag([0.5, 0.5, -1.0])]
-    np.testing.assert_array_equal(simultaneous_diagonalize(fam), np.eye(3))
+    u = simultaneous_diagonalize(fam)
+    np.testing.assert_array_equal(u, np.eye(3))
+    assert u.dtype == np.float64
+    assert simultaneous_diagonalize([fam[0], fam[1].astype(complex)]).dtype == np.complex128
 
 
 def test_simdiag_sigma_z_and_identity():
@@ -606,3 +612,153 @@ def test_stacked_checks_of_mixed_shapes_refuse_in_order():
     with pytest.raises(OperatorError, match="eigenvalue"):
         as_densities([np.diag([0.5, 0.5]), np.diag([1.5, -0.5]), np.eye(3) / 3])
     assert len(as_densities([np.diag([0.5, 0.5]), np.eye(3) / 3])) == 2
+
+
+# Tolerance multiples for the real/complex parity tests: 0.5x to 2x of a tolerance,
+# each at least 5 % from it, so that rounding cannot move a verdict.
+_EDGE_FACTORS = (0.5, 0.8, 0.95, 1.05, 1.25, 2.0)
+
+
+def _real_orthogonal(d, rng):
+    return np.linalg.qr(rng.standard_normal((d, d)))[0]
+
+
+def _real_povm_family(data):
+    """k real symmetric d x d matrices Q diag(P_i) Q^T, whose weights P_i sum to
+    one in each coordinate, moved past at most one edge by a factor of
+    `_EDGE_FACTORS` times its tolerance: a weight past 0 or 1 (PSD_TOL), the sum
+    off the identity (PSD_TOL) or an antisymmetric part (HERMITICITY_TOL); or
+    with an infinite entry."""
+    d, k = data.draw(st.integers(1, 5), label="d"), data.draw(st.integers(1, 4), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    q = _real_orthogonal(d, rng) if data.draw(st.booleans(), label="rotated") else np.eye(d)
+    p = rng.dirichlet(np.ones(k), size=d).T
+    edge = data.draw(st.sampled_from(["none", "below", "above", "complete", "antisymmetric",
+                                      "nonfinite"]), label="edge")
+    f = data.draw(st.sampled_from(_EDGE_FACTORS), label="factor")
+    i, j = int(rng.integers(k)), int(rng.integers(d))
+    if edge == "below":
+        p[i, j] = -f * PSD_TOL
+    elif edge == "above":
+        p[i, j] = 1.0 + f * PSD_TOL
+    elif edge == "complete":
+        p[i, j] += f * PSD_TOL
+    mats = [q @ np.diag(w) @ q.T for w in p]
+    if edge == "antisymmetric" and d > 1:
+        g = rng.standard_normal((d, d))
+        mats[i] = mats[i] + f * HERMITICITY_TOL * (g - g.T) / op_norm(g - g.T)
+    elif edge == "nonfinite":
+        mats[i][j, j] = np.inf
+    return mats, rng, f
+
+
+def _verdict(fn):
+    """('ok', result) or ('refused', 'ErrorType: message') of fn()."""
+    try:
+        return "ok", fn()
+    except (OperatorError, RuntimeError) as exc:
+        return "refused", f"{type(exc).__name__}: {exc}"
+
+
+def _same_verdict(fn, real, cplx):
+    """fn on the real input and on its complex128 copy: both refused with one
+    message, or both accepted; the accepted results are returned."""
+    got, want = _verdict(lambda: fn(real)), _verdict(lambda: fn(cplx))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "refused":
+        assert got[1] == want[1]
+        return None
+    return got[1], want[1]
+
+
+def _assert_float64(mats):
+    assert all(m.dtype == np.float64 for m in mats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_real_operators_get_the_verdict_of_their_complex_copies(data):
+    """`as_hermitian`, `as_effects`, `as_densities` and `DiscretePOVM` accept a real
+    family exactly where they accept its complex128 copy, refuse it with the same
+    first message otherwise, and return float64 matrices equal to the complex
+    results within rounding; so does the commuting-projection repair, with the
+    same projection ranks and a repair distance within 1e-12 relative."""
+    mats, rng, f = _real_povm_family(data)
+    cplx = [m.astype(complex) for m in mats]
+    accepted = _same_verdict(lambda ms: [as_hermitian(m) for m in ms], mats, cplx)
+    if accepted:
+        _assert_float64(accepted[0])
+    for check in (as_effects, lambda ms: DiscretePOVM(tuple(ms)).effects):
+        accepted = _same_verdict(check, mats, cplx)
+        if accepted:
+            _assert_float64(accepted[0])
+            for got, want in zip(*accepted):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    # states: weights summing to one, one of them moved to -f PSD_TOL, and the
+    # trace off 1 by 0 or f TRACE_TOL
+    d = mats[0].shape[0]
+    states = []
+    for _ in mats:
+        w = rng.dirichlet(np.ones(d))
+        if d > 1 and data.draw(st.booleans(), label="negative"):
+            a, b = rng.choice(d, 2, replace=False)
+            w[b] += w[a] + f * PSD_TOL
+            w[a] = -f * PSD_TOL
+        w = w * (1.0 + data.draw(st.sampled_from((-f, 0.0, f)), label="trace") * TRACE_TOL)
+        q = _real_orthogonal(d, rng)
+        states.append(q @ np.diag(w) @ q.T)
+    accepted = _same_verdict(as_densities, states, [s.astype(complex) for s in states])
+    if accepted:
+        _assert_float64(accepted[0])
+    accepted = _same_verdict(repair_to_commuting_projections, mats, cplx)
+    if accepted:
+        (real_projections, real_distance), (cplx_projections, cplx_distance) = accepted
+        _assert_float64(real_projections)
+        assert ([round(np.trace(p)) for p in real_projections]
+                == [round(np.trace(p).real) for p in cplx_projections])
+        assert real_distance == pytest.approx(cplx_distance, rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pvm_embed_gives_a_real_pvm_the_verdict_of_its_complex_copy(data):
+    """`pvm_embed` accepts a real PVM, moved off being idempotent, orthogonal or
+    complete by a factor of `_EDGE_FACTORS` times `tol`, exactly where it accepts
+    its complex128 copy, and refuses it with the same first message otherwise.
+    An accepted embedding keeps float64 atoms, states and channel stacks, and
+    its `max_fix_residual` is that of the copy within rounding."""
+    d = data.draw(st.integers(1, 5), label="d")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    tol = data.draw(st.sampled_from([1e-10, 1e-6, 1e-3]), label="tol")
+    delta = data.draw(st.sampled_from(_EDGE_FACTORS), label="factor") * tol
+    q = _real_orthogonal(d, rng)
+    cuts = np.sort(rng.choice(np.arange(1, d), int(rng.integers(0, d)), replace=False))
+    parts = np.split(np.arange(d), cuts)
+    projections = [q[:, c] @ q[:, c].T for c in parts]
+    i, j = (0, 0) if len(parts) == 1 else rng.choice(len(parts), 2, replace=False)
+    defect = data.draw(st.sampled_from(["none", "idempotent", "orthogonal", "complete"]),
+                       label="defect")
+    if defect == "idempotent":
+        p = projections[i]
+        projections[i], projections[j] = (1 - delta) * p, projections[j] + delta * p
+    elif defect == "orthogonal" and i != j:
+        # the first vector of part j turned by delta towards the first of part i
+        v = np.cos(delta) * q[:, parts[j][0]] + np.sin(delta) * q[:, parts[i][0]]
+        rest = q[:, parts[j][1:]]
+        projections[j] = np.outer(v, v) + rest @ rest.T
+    elif defect == "complete":
+        projections[j] = (1 - delta) * projections[j]
+    labels = list(range(len(parts)))
+    subsets = [set(np.flatnonzero(rng.random(len(parts)) < 0.5).tolist())
+               for _ in range(int(rng.integers(1, 4)))]
+
+    def embed(projs):
+        return pvm_embed(labels, projs, subsets, tol=tol)
+
+    accepted = _same_verdict(embed, projections, [p.astype(complex) for p in projections])
+    if accepted:
+        real, cplx = accepted
+        _assert_float64(real.atom_effects + real.states)
+        _assert_float64((real.channel._effect_stack, real.channel._state_stack))
+        assert real.atom_sets == cplx.atom_sets
+        assert real.max_fix_residual == pytest.approx(cplx.max_fix_residual, rel=1e-6, abs=1e-14)

@@ -11,8 +11,8 @@ from .operators import (
     TRACE_TOL,
     DiscretePOVM,
     _check_density,
+    _density_checks,
     _trace,
-    as_densities,
     as_hermitian,
     as_matrix,
     dagger,
@@ -116,11 +116,16 @@ class ChoiChannel:
         return _choi_action(self.matrix, a, self.d_in, self.d_out, "heisenberg")
 
 
-def _operand(x, d: int, side: str) -> np.ndarray:
+def _operand(x, d: int, side: str, stack: bool = False) -> np.ndarray:
     """`x` by `as_matrix`, after raising `ChannelError` unless it is d x d,
-    where d is the channel's `side` dimension ("d_in" or "d_out")."""
-    x = as_matrix(x)
-    if x.shape != (d, d):
+    where d is the channel's `side` dimension ("d_in" or "d_out"); with `stack`,
+    also a stack (k, d, d) of k >= 1 operands, each coerced and checked alike."""
+    x = np.asarray(x)
+    if stack and x.ndim == 3 and len(x):
+        x = as_matrix(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+    else:
+        x = as_matrix(x)
+    if x.shape[-2:] != (d, d):
         raise ChannelError(f"operand shape {x.shape} does not match {side}={d}")
     return x
 
@@ -139,21 +144,24 @@ class MeasurePrepareChannel:
     The Heisenberg dual is Lambda*(A) = sum_i tr(sigma_i A) G_i.  Prepared
     states may live on a different (e.g. bipartite) output space.  Both actions
     take their weights from one product of a stacked family and add the terms
-    in order.
+    in order.  `apply_heisenberg` also takes a stack (k, d_out, d_out) of
+    operands, and gives each image bit for bit as it gives it alone.
     """
 
     kind = "measure_prepare"
+    # eigenvalues of the prepared states, one row each, where the constructor took them
+    _state_spectra = None
 
     def __init__(self, povm: DiscretePOVM, states):
-        self._prepare(povm, as_densities(states))
+        self._prepare(povm, *_density_checks(states))
 
-    def _prepare(self, povm: DiscretePOVM, states):
+    def _prepare(self, povm: DiscretePOVM, states, spectra=None):
         """Take `povm` and the `states`, each already checked as a density
-        operator: one per effect, all of one shape."""
+        operator: one per effect, all of one shape; `spectra` are their eigenvalues."""
         self.states, self.d_out = square_family(states, "prepared state", ChannelError)
         if len(self.states) != len(povm):
             raise ChannelError("need exactly one prepared state per POVM effect")
-        self.povm, self.d_in = povm, povm.dim
+        self.povm, self.d_in, self._state_spectra = povm, povm.dim, spectra
         # np.array stacks the equal-shaped matrices at a fraction of np.stack's call cost
         self._effect_stack, self._state_stack = np.array(povm.effects), np.array(self.states)
 
@@ -161,8 +169,11 @@ class MeasurePrepareChannel:
         return self.states
 
     def _state_weights(self, a):
-        """tr(sigma_i a) for each prepared state sigma_i."""
-        return np.trace(self._state_stack @ a, axis1=1, axis2=2)
+        """tr(sigma_i a) for each prepared state sigma_i: shape (n,) for one operand,
+        (n, k) for a stack of k."""
+        if a.ndim == 2:
+            return np.trace(self._state_stack @ a, axis1=1, axis2=2)
+        return np.trace(self._state_stack @ a[:, None], axis1=2, axis2=3).T
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = _operand(rho, self.d_in, "d_in")
@@ -170,7 +181,7 @@ class MeasurePrepareChannel:
         return _weighted_sum(weights, self._prepared(), self.d_out)
 
     def apply_heisenberg(self, a) -> np.ndarray:
-        a = _operand(a, self.d_out, "d_out")
+        a = _operand(a, self.d_out, "d_out", stack=True)
         return _weighted_sum(self._state_weights(a), self.povm.effects, self.d_in)
 
     def choi(self) -> ChoiChannel:
@@ -178,10 +189,14 @@ class MeasurePrepareChannel:
 
 
 def _weighted_sum(weights, ops, d: int) -> np.ndarray:
-    """sum_i weights[i] ops[i] on d x d, added term by term in order.  The sum
-    starts real and is promoted at the first term of another dtype, so it is real
-    only if every weight and operator is."""
-    out = np.zeros((d, d))
+    """sum_i weights[i] ops[i] on d x d, added term by term in order; a weight
+    that is an array of k numbers gives a stack of k such sums, each bit for bit
+    its own.  The sum starts real and is promoted at the first term of another
+    dtype, so it is real only if every weight and operator is."""
+    stack = np.shape(weights[0])
+    if stack:
+        weights = [np.asarray(c)[:, None, None] for c in weights]
+    out = np.zeros(stack + (d, d))
     for c, g in zip(weights, ops):
         term = c * g
         if term.dtype == out.dtype:
@@ -212,8 +227,12 @@ class SymmetricLift(MeasurePrepareChannel):
         # The d x d eigensolver and the products round by less than a further 8 d^2 ulps.
         d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
         rounding = 8.0 * d * d * np.finfo(float).eps
-        # the base's states as a stack: a lift of a 1 x 1 lift has no `_state_stack`
-        for s, w in zip(base.states, np.linalg.eigvalsh(np.array(base.states))):
+        # the spectra the base's constructor took, or else of its states as a stack:
+        # a lift of a 1 x 1 lift has no `_state_stack`
+        spectra = base._state_spectra
+        if spectra is None:
+            spectra = np.linalg.eigvalsh(np.array(base.states))
+        for s, w in zip(base.states, spectra):
             _check_density(np.multiply.outer(w, w), _trace(s) ** 2,
                            psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                            trace_tol=delta * (2.0 + delta) + rounding)
@@ -229,7 +248,7 @@ class SymmetricLift(MeasurePrepareChannel):
 
     def _state_weights(self, a):
         # one s (x) s at a time: a stack of them would hold k d^4 entries
-        return [np.trace(s @ a) for s in self._prepared()]
+        return [np.trace(s @ a, axis1=-2, axis2=-1) for s in self._prepared()]
 
     # the two methods below only delegate: the benchmark tracer wraps the
     # methods a class defines itself, so each must stay on this class

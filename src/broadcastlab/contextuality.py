@@ -19,6 +19,9 @@ from .operators import (
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
+    _density_checks,
+    _exceeding,
+    _frob_norms,
     as_densities,
     as_effects,
     as_hermitian,
@@ -85,7 +88,27 @@ def _pinching_witness(u) -> MeasurePrepareChannel:
     """Pinching channel onto the orthonormal basis given by the columns of `u`:
     Lambda(X) = sum_k <k|X|k> |k><k|, measure-and-prepare and its own dual."""
     projections = [u[:, k:k + 1] @ dagger(u[:, k:k + 1]) for k in range(u.shape[1])]
-    return MeasurePrepareChannel(DiscretePOVM(tuple(projections)), projections)
+    return _atom_channel(projections)
+
+
+def _atom_channel(effects, labels=None, povm_tol: float = PSD_TOL, traces=None,
+                  state_tols=None) -> MeasurePrepareChannel:
+    """The measure-and-prepare channel that measures `DiscretePOVM(effects,
+    labels, povm_tol)` and prepares each (symmetrized) effect divided by its
+    trace in `traces`, or the effect itself when `traces` is None, each state
+    checked at its `state_tols` entry (default `PSD_TOL`).  The effects and the
+    states are decided on the POVM's one stacked `eigvalsh`: a state's spectrum
+    is its effect's divided by the trace.  The refusals are those, in the order,
+    of the POVM followed by `as_densities` of the states; the spectra are also
+    the ones `SymmetricLift` reads."""
+    povm = DiscretePOVM(tuple(effects), labels=labels, tol=povm_tol)
+    states, spectra = povm.effects, povm._spectra
+    if traces is not None:
+        states = tuple(e / t for e, t in zip(states, traces))
+        spectra = spectra / np.array(traces)[:, None]
+    channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
+    channel._prepare(povm, *_density_checks(states, state_tols, spectra))
+    return channel
 
 
 def _koashi_imoto_note(states, u) -> str:
@@ -200,21 +223,24 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
             raise OperatorError(f"subset {k} uses labels outside the outcome alphabet")
 
     # single-PVM check at atom level: idempotent, mutually orthogonal, complete;
-    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b)
+    # `defect` is the largest Frobenius norm of a P_a^2 - P_a or P_a P_b (a != b).
+    # Row i is one stacked product P_i [P_i, P_i+1, ...], decided in order.
+    stack = np.array(projs)
     defect = 0.0
     for i, p in enumerate(projs):
-        r = p @ p - p
-        if op_norm_exceeds(r, tol):
+        row = p @ stack[i:]
+        row[0] -= p
+        norms = _frob_norms(row)
+        j = next(_exceeding(row, tol, norms), None)
+        if j == 0:
             raise OperatorError(f"outcome {labels[i]!r} is not a projection")
-        defect = max(defect, frob_norm(r))
-        for j in range(i + 1, len(projs)):
-            r = p @ projs[j]
-            if op_norm_exceeds(r, tol):
-                raise OperatorError(
-                    f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
-                    "inputs are not effects of a single PVM"
-                )
-            defect = max(defect, frob_norm(r))
+        if j is not None:
+            raise OperatorError(
+                f"outcomes {labels[i]!r} and {labels[i + j]!r} are not orthogonal; "
+                "inputs are not effects of a single PVM"
+            )
+        # fmax, like max(defect, f), passes over a NaN norm
+        defect = float(np.fmax.reduce(norms, initial=defect))
     complete = sum(projs) - np.eye(d)
     if op_norm_exceeds(complete, tol):
         raise OperatorError("atom-level projections do not sum to the identity")
@@ -233,15 +259,19 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     for lab in labels:
         atom_labels.setdefault(pattern_of(lab), set()).add(lab)
 
+    patterns = sorted(atom_labels)
+    # sum in `labels` order: set order follows string hashing, which
+    # changes from process to process
+    effs = [sum(proj_by_label[lab] for lab in labels if lab in atom_labels[v]) for v in patterns]
+    stack = np.array(effs)
+    norms = _frob_norms(stack)
+    exceeding = set(_exceeding(stack, tol, norms))
     kept = []
-    for v in sorted(atom_labels):
-        # sum in `labels` order: set order follows string hashing, which
-        # changes from process to process
-        eff = sum(proj_by_label[lab] for lab in labels if lab in atom_labels[v])
-        if op_norm_exceeds(eff, tol):
+    for k, (v, eff, f) in enumerate(zip(patterns, effs, norms.tolist())):
+        if k in exceeding:
             kept.append((v, frozenset(atom_labels[v]), eff))
         else:
-            defect = max(defect, frob_norm(eff))
+            defect = max(defect, f)
 
     # The kept atoms form a POVM up to bound = c + L·defect, c = ||sum_a P_a - I||_F,
     # for the L labels (norms in exact arithmetic; the operator norm is at most the
@@ -256,24 +286,25 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     # an exact PVM, with c and defect at rounding level, keeps the PSD_TOL check.
     povm_tol = max(PSD_TOL, 2.0 * (frob_norm(complete) + len(labels) * defect))
     atom_effects = tuple(e for _, _, e in kept)
-    povm = DiscretePOVM(atom_effects, labels=tuple(v for v, _, _ in kept), tol=povm_tol)
     # The atom states are s_v = E_v / t_v, t_v = tr E_v. For t_v > 0, E_v >= -bound gives
     # s_v >= -bound / t_v, checked at max(PSD_TOL, povm_tol / t_v), which leaves at least
     # half for rounding as above. A trace t_v <= 0 bounds nothing: PSD_TOL stays.
+    # The states are checked on the effects' computed spectra divided by t_v: the
+    # eigensolver's backward error on E_v, divided by t_v, is one on s_v of the same
+    # relative size, and the division adds one rounding, so that half still covers it.
     traces = [float(np.real(np.trace(e))) for e in atom_effects]
     state_tols = [max(PSD_TOL, povm_tol / t) if t > 0 else PSD_TOL for t in traces]
-    states = tuple(e / t for e, t in zip(atom_effects, traces))
-    channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
-    channel._prepare(povm, as_densities(states, state_tols))
+    channel = _atom_channel(atom_effects, labels=tuple(v for v, _, _ in kept),
+                            povm_tol=povm_tol, traces=traces, state_tols=state_tols)
 
     index_sets = tuple(
         frozenset(v for v, _, _ in kept if v != 0 and (v >> k) & 1)
         for k in range(n)
     )
 
-    a_ks = (sum((proj_by_label[lab] for lab in labels if lab in kk),
-                np.zeros((d, d), dtype=projs[0].dtype)) for kk in subset_sets)
-    worst = max_op_norm(channel.apply_heisenberg(a_k) - a_k for a_k in a_ks)[0]
+    a_ks = np.array([sum((proj_by_label[lab] for lab in labels if lab in kk),
+                         np.zeros((d, d), dtype=projs[0].dtype)) for kk in subset_sets])
+    worst = max_op_norm(channel.apply_heisenberg(a_ks) - a_ks)[0]
     # Gate: with atoms E_v (kept or dropped) of |v| of the L labels and A_k the sum
     # of those inside K_k, Phi*(A_k) - A_k = sum_kept (n_vk / tr E_v) E_v - (dropped
     # atoms inside K_k), n_vk = tr(E_v A_k) - [v inside K_k] tr E_v. n_vk sums at most
@@ -292,7 +323,7 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
         atom_sets=tuple((v, s) for v, s, _ in kept),
         index_sets=index_sets,
         atom_effects=atom_effects,
-        states=states,
+        states=channel.states,
         channel=channel,
         max_fix_residual=worst,
     )

@@ -107,7 +107,7 @@ class TruncatedChannel:
         # rows of the transposed block adds in np.trace's order (a real sum can move an ulp)
         traces = np.ascontiguousarray(self.action[n - 1].T, dtype=complex).sum(axis=1)
         self.trace_defect_bound = float(np.max(1.0 - np.real(traces)))
-        w = np.concatenate([np.linalg.eigvalsh(b) for b in self.choi()])
+        w = _size_pairs(np.linalg.eigvalsh, self.choi())
         if w.min() < -1e-10 * max(1.0, w.max()):
             raise OperatorError(f"truncated channel is not CP: min Choi eigenvalue {w.min():.3e}")
 
@@ -162,17 +162,36 @@ class TruncatedChannel:
 
         Phase covariance makes J block-diagonal in the grading g = m - a of its
         basis |a>|m>; block g (g = -(n-1)..n-1) has rows |a>|a+g> ordered by
-        min(a, a+g).  Its entry (i, l) lies in the action's sector i - l.
+        min(a, a+g).  Its entry (i, l) lies in the action's sector i - l.  All
+        blocks are gathered from `action` at once, each the top-left corner of
+        an n x n slice of one (2n-1, n, n) array.
         """
         n = self.levels
-        blocks = []
-        for g in range(-(n - 1), n):
-            idx = np.arange(n - abs(g))
-            low = np.minimum.outer(idx, idx)
-            sector = np.subtract.outer(idx, idx) + n - 1
-            b = self.action[sector, low + max(g, 0), low + max(-g, 0)]
-            blocks.append(0.5 * (b + dagger(b)))
-        return blocks
+        idx = np.arange(n)
+        low = np.minimum.outer(idx, idx)
+        grading = np.arange(-(n - 1), n)
+        # entry (i, l) of block g is action[i - l + n - 1, low + max(g, 0), low + max(-g, 0)],
+        # low = min(i, l): flat index `base` plus a shift per block.  Past a block's corner
+        # the index still lies inside `action` (at most (2n - 2) n^2 + (n - 1) n); what it
+        # reads there is never returned
+        base = (np.subtract.outer(idx, idx) + n - 1) * n * n + low * (n + 1)
+        shift = np.maximum(grading, 0) * n + np.maximum(-grading, 0)
+        b = self.action.reshape(-1)[base + shift[:, None, None]]
+        bt = b.swapaxes(1, 2)
+        b = 0.5 * (b + (bt.conj() if b.dtype.kind == "c" else bt))
+        return [b[s, :n - abs(g), :n - abs(g)] for s, g in enumerate(grading.tolist())]
+
+
+def _size_pairs(fn, blocks) -> np.ndarray:
+    """`fn` of each of 2n - 1 blocks, where blocks s and 2n - 2 - s share one size:
+    one call of `fn` on the stack of each such pair and one on block n - 1, the
+    results flattened and concatenated.  `fn` takes a matrix or a stack of them, as
+    numpy's LAPACK routines do, and gives each matrix of a stack what it gives
+    that matrix alone."""
+    n = (len(blocks) + 1) // 2
+    return np.concatenate([fn(blocks[n - 1])]
+                          + [fn(np.array((blocks[n - 1 - g], blocks[n - 1 + g])))
+                             for g in range(1, n)], axis=None)
 
 
 def qchannel_element(m: int, n: int, j: int, k: int) -> float:
@@ -228,16 +247,21 @@ def qchannel_element_quadrature(m: int, n: int, j: int, k: int) -> float:
 def qchannel_build(trunc: FockTruncation) -> TruncatedChannel:
     """Coherent-state smoothing channel restricted to the truncation window.
 
-    Entries follow `qchannel_element` term by term, from a log-factorial table."""
+    Entries follow `qchannel_element`'s formula, from a log-factorial table, with
+    the four log-factorials added in pairs, (lg m! + lg n!) + (lg j! + lg k!): the
+    element <m|L(|j><k|)|n> and its transpose <j|L(|m><n|)|k> then add the same
+    two sums, so every sector block is exactly symmetric."""
     n = trunc.levels
     first, second, valid = _sector_coords(n)
-    s, p, q = np.nonzero(valid[:, :, None] & valid[:, None, :])
-    m, nn, j, k = first[s, p], second[s, p], first[s, q], second[s, q]
-    lg = _log_factorials(2 * n - 1)
-    logval = (lg[m + k] - (m + k + 1) * np.log(2.0)
-              - 0.5 * (lg[m] + lg[nn] + lg[j] + lg[k]))
-    action = np.zeros((2 * n - 1, n, n))
-    action[s, p, q] = np.exp(logval)
+    # entry (s, p, q) maps |j><k| to |m><nn|: (m, nn) is element p of sector s, (j, k) element q
+    m, nn = first[:, :, None], second[:, :, None]
+    j, k = first[:, None, :], second[:, None, :]
+    lg = _log_factorials(4 * n - 3)  # past a sector's end, m + k reaches 4n - 4
+    # lg[s] - (s + 1) log 2 for s = m + k, tabulated once per s
+    head = lg - (np.arange(len(lg)) + 1) * np.log(2.0)
+    logval = head[m + k] - 0.5 * ((lg[m] + lg[nn]) + (lg[j] + lg[k]))
+    action = np.zeros((2 * n - 1, n, n))  # zero past the sectors' ends
+    np.exp(logval, out=action, where=valid[:, :, None] & valid[:, None, :])
     return TruncatedChannel(action, n)
 
 
@@ -258,7 +282,10 @@ def qchannel_fixed_analysis(channel: TruncatedChannel, window: int,
     n = channel.levels
     if window > n // 2:
         raise OperatorError(f"window {window} exceeds half the truncation {n}")
-    evals = np.concatenate([np.linalg.eigvals(b) for b in channel.sector_blocks()])
+    # a pair of blocks equal to their conjugate transposes, as every block of
+    # `qchannel_build` is, has real eigenvalues that `eigvalsh` finds faster
+    evals = _size_pairs(lambda b: (np.linalg.eigvalsh(b) if (b == b.conj().swapaxes(-1, -2)).all()
+                                   else np.linalg.eigvals(b)), channel.sector_blocks())
     moduli = np.sort(np.abs(evals))[::-1]
 
     rng = np.random.default_rng(seed)
@@ -334,8 +361,8 @@ def shift_channel_study(trunc: FockTruncation, n_steps=(10, 100, 1000),
                       for m in means]
               for steps in n_steps}
 
-    svals = np.concatenate([np.linalg.svd(b - np.eye(len(b)), compute_uv=False)
-                            for b in channel.sector_blocks()])
+    svals = _size_pairs(lambda b: np.linalg.svd(b - np.eye(b.shape[-1]), compute_uv=False),
+                        channel.sector_blocks())
     smax = svals.max()
     fixed_dim = int(np.count_nonzero(svals <= nullspace_tol * smax)) if smax > 0 else n * n
 
@@ -446,9 +473,9 @@ def repair_to_commuting_projections(effects, seed: int = 0):
     diags = np.real(np.diagonal(dagger(u) @ np.stack(ops) @ u, axis1=1, axis2=2))
     assignment = np.argmax(diags, axis=0)
     sel = np.where(assignment == np.arange(len(ops))[:, None], 1.0, 0.0)
-    projections = list((u * sel[:, None, :]) @ dagger(u))
-    distance = max_op_norm(p - e for p, e in zip(projections, ops))[0]
-    return projections, distance
+    projections = (u * sel[:, None, :]) @ dagger(u)
+    distance = max_op_norm(projections - np.array(ops))[0]
+    return list(projections), distance
 
 
 def position_embedding_sweep(n_bins_list, trunc: FockTruncation, seed: int = 0) -> list[dict]:

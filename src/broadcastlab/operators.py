@@ -143,49 +143,94 @@ _BOUND_FLOOR = 2.0 ** -480
 _BOUND_CEIL = 2.0 ** 480
 
 
-def _op_norm_bounds(a: np.ndarray):
-    """(lo, hi) with lo <= op_norm(a) <= hi, from the Frobenius norm, or None
-    where `NORM_BOUND_SLACK` does not cover the rounding (another dtype, too
-    many entries, a norm that under- or overflows its squares, a non-finite
-    entry)."""
-    if a.dtype not in _BOUND_DTYPES or a.size > _BOUND_MAX_ENTRIES:
-        return None
-    with np.errstate(over="ignore"):  # squares past 2^1024 give inf, refused below
-        f = frob_norm(a)
-    if not _BOUND_FLOOR <= f <= _BOUND_CEIL:
-        # an all-zero matrix has operator norm exactly 0.0
-        return (0.0, 0.0) if f == 0.0 and not a.any() else None
-    return (1.0 - NORM_BOUND_SLACK) * f / math.sqrt(min(a.shape)), (1.0 + NORM_BOUND_SLACK) * f
+def _frob_norms(a: np.ndarray) -> np.ndarray:
+    """`frob_norm` of each matrix of a C-contiguous stack (k, m, n), bit for bit:
+    the same dot products of the raveled real and imaginary parts, one per matrix."""
+    def squares(x):
+        x = x.reshape(len(x), 1, -1)
+        return np.matmul(x, x.transpose(0, 2, 1))[:, 0, 0]
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf norm is refused by the bounds
+        return np.sqrt(squares(a.real) + squares(a.imag) if a.dtype.kind == "c" else squares(a))
+
+
+def _op_norm_bounds(a: np.ndarray, f=None):
+    """(lo, hi) with lo <= op_norm(a) <= hi, from the Frobenius norm f of `a`
+    (computed unless given): floats for a matrix, or for a C-contiguous stack
+    (k, m, n) two arrays with one bound per matrix, each equal to the matrix's
+    own.  A pair is (-inf, inf), which decides nothing, where `NORM_BOUND_SLACK`
+    does not cover the rounding (another dtype, too many entries, a norm that
+    under- or overflows its squares, a non-finite entry)."""
+    if a.ndim == 2:
+        if a.dtype not in _BOUND_DTYPES or a.size > _BOUND_MAX_ENTRIES:
+            return -math.inf, math.inf
+        if f is None:
+            with np.errstate(over="ignore"):  # squares past 2^1024 give inf, refused below
+                f = frob_norm(a)
+        if not _BOUND_FLOOR <= f <= _BOUND_CEIL:
+            # an all-zero matrix has operator norm exactly 0.0
+            return (0.0, 0.0) if f == 0.0 and not a.any() else (-math.inf, math.inf)
+        return (1.0 - NORM_BOUND_SLACK) * f / math.sqrt(min(a.shape)), (1.0 + NORM_BOUND_SLACK) * f
+    rows, cols = a.shape[1:]
+    if a.dtype not in _BOUND_DTYPES or rows * cols > _BOUND_MAX_ENTRIES:
+        return np.full(len(a), -math.inf), np.full(len(a), math.inf)
+    if f is None:
+        f = _frob_norms(a)
+    lo = (1.0 - NORM_BOUND_SLACK) * f / math.sqrt(min(rows, cols))
+    hi = (1.0 + NORM_BOUND_SLACK) * f
+    outside = ~((f >= _BOUND_FLOOR) & (f <= _BOUND_CEIL))
+    if outside.any():
+        lo[outside], hi[outside] = -math.inf, math.inf
+        zero = outside & (f == 0.0)
+        zero[zero] = ~a[zero].any(axis=(1, 2))
+        lo[zero] = hi[zero] = 0.0
+    return lo, hi
 
 
 def op_norm_exceeds(a, tol: float) -> bool:
     """`op_norm(a) > tol`, taking the SVD only where the Frobenius bounds of
     `NORM_BOUND_SLACK` do not decide it."""
     a = np.atleast_2d(a)
-    bounds = _op_norm_bounds(a)
-    if bounds is not None:
-        if bounds[0] > tol:
-            return True
-        if bounds[1] <= tol:
-            return False
-    return op_norm(a) > tol
+    lo, hi = _op_norm_bounds(a)
+    return lo > tol or (hi > tol and op_norm(a) > tol)
+
+
+def _exceeding(stack, tol: float, f=None):
+    """The indices k, in order, of the matrices of a C-contiguous stack with
+    `op_norm_exceeds(stack[k], tol)`, found lazily: a matrix whose bounds (from the
+    Frobenius norms f, computed unless given) do not decide it has its SVD taken
+    only when the search reaches it."""
+    lo, hi = _op_norm_bounds(stack, f)
+    for k in np.flatnonzero(hi > tol).tolist():
+        if lo[k] > tol or op_norm(stack[k]) > tol:
+            yield k
 
 
 def max_op_norm(mats) -> tuple[float, int | None]:
-    """Largest `op_norm` over `mats`, starting from 0.0, and the index of the
-    first matrix attaining it (None when no norm exceeds 0.0).
+    """Largest `op_norm` over `mats` (matrices, or a stack (k, m, n)), starting
+    from 0.0, and the index of the first matrix attaining it (None when no norm
+    exceeds 0.0).
 
-    The value equals `max(op_norm(a) for a in mats)` bit for bit. The SVD is
-    skipped for every matrix whose Frobenius upper bound does not beat the
-    running maximum. `mats` is read once, one matrix at a time."""
+    Value and index equal those of a scan of `op_norm(a) for a in mats` that
+    keeps the first maximum, bit for bit.  The SVDs are taken in descending
+    order of the Frobenius upper bounds of `_op_norm_bounds` (index order among
+    equal bounds), and stop once no bound left can beat the maximum found: a
+    matrix whose bound only equals it is still decomposed if it comes first."""
+    if isinstance(mats, np.ndarray) and mats.ndim == 3:
+        mats = np.ascontiguousarray(mats)
+        bounds = _op_norm_bounds(mats)[1].tolist()
+    else:
+        mats = [np.atleast_2d(a) for a in mats]
+        bounds = [_op_norm_bounds(a)[1] for a in mats]
     best, arg = 0.0, None
-    for k, a in enumerate(mats):
-        a = np.atleast_2d(a)
-        bounds = _op_norm_bounds(a)
-        if bounds is not None and bounds[1] <= best:
+    # a stable sort keeps index order among equal bounds, also in reverse
+    for k in sorted(range(len(mats)), key=bounds.__getitem__, reverse=True):
+        if bounds[k] < best:
+            break
+        if bounds[k] == best and (arg is None or k > arg):
             continue
-        nrm = op_norm(a)
-        if nrm > best:
+        nrm = op_norm(mats[k])
+        if nrm > best or (nrm == best and arg is not None and k < arg):
             best, arg = nrm, k
     return best, arg
 
@@ -229,13 +274,11 @@ def as_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if tol >= 0.0 and (h == a).all():
         return h
     r = a - h
-    refused = False
     bounds_a, bounds_r = _op_norm_bounds(a), _op_norm_bounds(r)
-    if bounds_a is not None and bounds_r is not None:
-        if bounds_r[1] <= tol * max(1.0, bounds_a[0]):
-            _log.debug("hermitian symmetrization absorbed residual at most %.3e", bounds_r[1])
-            return h
-        refused = bounds_r[0] > tol * max(1.0, bounds_a[1])
+    if bounds_r[1] <= tol * max(1.0, bounds_a[0]):
+        _log.debug("hermitian symmetrization absorbed residual at most %.3e", bounds_r[1])
+        return h
+    refused = bounds_r[0] > tol * max(1.0, bounds_a[1])
     resid = op_norm(r)
     if refused or resid > tol * max(op_norm(a), 1.0):
         raise OperatorError(
@@ -256,18 +299,26 @@ def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> n
 def as_densities(states, psd_tols=None) -> tuple:
     """`as_density(s, psd_tol=t)` of each state s with its tolerance t (default
     `PSD_TOL`), raising the first refusal in order, from one stacked `eigvalsh`."""
+    return _density_checks(states, psd_tols)[0]
+
+
+def _density_checks(states, psd_tols=None, spectra=None) -> tuple:
+    """(`as_densities(states, psd_tols)`, the states' eigenvalues), the eigenvalues
+    taken from `spectra` when the caller has them (see `_spectral_checks`)."""
     def check(k, h, w):
         psd_tol = PSD_TOL if psd_tols is None else psd_tols[k]
         _check_density(w, _trace(h), psd_tol, TRACE_TOL)
 
-    return _spectral_checks(states, check)
+    return _spectral_checks(states, check, spectra)
 
 
-def _spectral_checks(mats, check) -> tuple:
-    """`as_hermitian` of each of `mats`, each then passed with its index and
-    eigenvalues to `check(k, h, w)`, which raises on a refusal.  The first refusal
-    in order is raised, as by a loop of per-matrix checks; the spectra come from
-    one `eigvalsh` of the stack where all matrices share one shape."""
+def _spectral_checks(mats, check, spectra=None) -> tuple:
+    """(`as_hermitian` of each of `mats`, their eigenvalues): each matrix is passed
+    with its index and eigenvalues to `check(k, h, w)`, which raises on a refusal.
+    The first refusal in order is raised, as by a loop of per-matrix checks.  The
+    spectra come from one `eigvalsh` of the stack where all matrices share one
+    shape, or are `spectra`, one row per matrix, which a caller holding the
+    eigenvalues of matrices that `as_hermitian` returns unchanged passes in."""
     hs, refusal = [], None
     for a in mats:
         try:
@@ -276,13 +327,14 @@ def _spectral_checks(mats, check) -> tuple:
             refusal = exc
             break
     if hs:
-        spectra = (np.linalg.eigvalsh(np.array(hs)) if len({h.shape for h in hs}) == 1
-                   else map(np.linalg.eigvalsh, hs))
+        if spectra is None:
+            spectra = (np.linalg.eigvalsh(np.array(hs)) if len({h.shape for h in hs}) == 1
+                       else [np.linalg.eigvalsh(h) for h in hs])
         for k, (h, w) in enumerate(zip(hs, spectra)):
             check(k, h, w)
     if refusal is not None:
         raise refusal
-    return tuple(hs)
+    return tuple(hs), spectra
 
 
 def _trace(h) -> float:
@@ -322,7 +374,7 @@ def as_effect(e, tol: float = PSD_TOL) -> np.ndarray:
 def as_effects(effects, tol: float = PSD_TOL) -> tuple:
     """`as_effect(e, tol)` of each effect, raising the first refusal in order,
     from one stacked `eigvalsh`."""
-    return _spectral_checks(effects, lambda k, h, w: _check_effect(w, tol))
+    return _spectral_checks(effects, lambda k, h, w: _check_effect(w, tol))[0]
 
 
 def _check_effect(w, tol: float) -> None:
@@ -345,9 +397,13 @@ class DiscretePOVM:
     tol: float = PSD_TOL
 
     def __post_init__(self):
-        effs, d = square_family(as_effects(self.effects, tol=self.tol), "POVM effect",
-                                OperatorError)
+        checked, spectra = _spectral_checks(self.effects,
+                                            lambda k, h, w: _check_effect(w, self.tol))
+        effs, d = square_family(checked, "POVM effect", OperatorError)
         object.__setattr__(self, "effects", effs)
+        # the effects' eigenvalues, one row each, which a measure-and-prepare channel
+        # whose states are the effects over their traces checks its states on
+        object.__setattr__(self, "_spectra", spectra)
         labels = self.labels if self.labels is not None else tuple(range(len(effs)))
         if len(labels) != len(effs):
             raise OperatorError("labels and effects must have equal length")

@@ -560,3 +560,45 @@ def test_kraus_and_choi_actions_on_real_and_complex_operators(d_in, d_out, n_ops
                                 reference.apply_schrodinger(rho.astype(complex)), operand_real)
         _assert_matches_complex(channel.apply_heisenberg(a),
                                 reference.apply_heisenberg(a.astype(complex)), operand_real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 1, True, True, True, 0)
+@example(2, 3, 4, True, False, True, 1)   # real effects, complex states: promoted sums
+@example(3, 2, 3, False, True, True, 2)
+def test_stacked_heisenberg_action_equals_each_operand_alone(d, n_effects, k, effects_real,
+                                                            states_real, operand_real, seed):
+    """`apply_heisenberg` of a stack (k, d, d) gives each image bit for bit as it
+    gives it alone (dtype, values and signed zeros), for every real/complex mix
+    of effects, states and operands, including the sums `_weighted_sum` promotes
+    at a complex term, for the channel and for its symmetric lift."""
+    rng = np.random.default_rng(seed)
+    # U diag(p_i) U^dag with each diagonal's weights on the simplex: a POVM for
+    # every draw (normalised Gram matrices can be too ill-conditioned to pass)
+    u = np.linalg.qr(_operator(d, effects_real, rng))[0]
+    effects = [(u * w) @ dagger(u) for w in rng.dirichlet(np.ones(n_effects), size=d).T]
+    states = [_state(d, states_real, rng) for _ in effects]
+    ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects)), states)
+    for channel, size in ((ch, d), (SymmetricLift(ch), d * d)):
+        stack = np.array([_operator(size, operand_real, rng) for _ in range(k)])
+        stack[0] *= -0.0  # signed zeros survive as they do alone
+        images = channel.apply_heisenberg(stack)
+        assert images.shape == (k, d, d)
+        for image, a in zip(images, stack):
+            alone = channel.apply_heisenberg(a)
+            assert image.dtype == alone.dtype
+            assert image.tobytes() == alone.tobytes()
+
+
+def test_stacked_heisenberg_operands_are_checked_like_one():
+    ch = MeasurePrepareChannel(DiscretePOVM((np.eye(2),)), [np.eye(2) / 2])
+    with pytest.raises(ChannelError,
+                       match=re.escape("operand shape (2, 3, 3) does not match d_out=2")):
+        ch.apply_heisenberg(np.zeros((2, 3, 3)))
+    with pytest.raises(OperatorError, match="finite"):
+        ch.apply_heisenberg(np.array([np.eye(2), np.full((2, 2), np.nan)]))
+    with pytest.raises(OperatorError, match="expected a 2-D matrix"):
+        ch.apply_heisenberg(np.zeros((0, 2, 2)))
+    assert ch.apply_heisenberg(np.array([np.eye(2)], dtype=np.float32)).dtype == np.complex128

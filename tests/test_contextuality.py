@@ -255,7 +255,7 @@ def test_pvm_embed_gate_stays_1e_12_for_an_exact_pvm(monkeypatch, shift, fails):
     a Heisenberg image moved by `shift` passes below it and fails above it."""
     apply = MeasurePrepareChannel.apply_heisenberg
     monkeypatch.setattr(MeasurePrepareChannel, "apply_heisenberg",
-                        lambda self, a: apply(self, a) + shift * np.eye(len(a)))
+                        lambda self, a: apply(self, a) + shift * np.eye(a.shape[-1]))
     projs = [np.diag(row) for row in np.eye(3)]
     if fails:
         with pytest.raises(RuntimeError, match="fixed-point residual"):
@@ -720,3 +720,89 @@ def test_batched_axiom_checks_match_loops():
         assert _first_violation(fun._validate) == want
         seen.add(want and want[0])
     assert {None, "T(E+F) = T(E) + T(F)", "T(tE) = tT(E)"} <= seen
+
+
+def _pvm_pair_refusal(labels, projections, tol):
+    """The first refusal of the projection and orthogonality checks, taken one
+    pair at a time with an SVD each, in the order P_0^2 - P_0, P_0 P_1, ...,
+    P_1^2 - P_1, P_1 P_2, ...; None when every pair passes."""
+    for i, p in enumerate(projections):
+        if op_norm(p @ p - p) > tol:
+            return f"outcome {labels[i]!r} is not a projection"
+        for j in range(i + 1, len(projections)):
+            if op_norm(p @ projections[j]) > tol:
+                return (f"outcomes {labels[i]!r} and {labels[j]!r} are not orthogonal; "
+                        "inputs are not effects of a single PVM")
+    return None
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("real", [True, False])
+def test_pvm_embed_raises_the_first_pair_refusal_of_the_pair_loop(tol, real):
+    """A defect eta (x y^dag + y x^dag) added to P_a, with x in the range of P_a
+    and y in that of P_b, at every pair position a <= b of a PVM of up to 6
+    labels at d <= 6, with eta below, at and above `tol`: `pvm_embed` refuses
+    with the first refusal, in order and message, of the per-pair loop, and
+    raises no pair refusal where the loop passes."""
+    rng = np.random.default_rng(int(tol < 1e-5) + 2 * real)
+    for d in range(1, 7):
+        for n_labels in range(1, 7):
+            labels = [f"o{i}" for i in range(n_labels)]
+            u = random_unitary(d, rng)
+            if real:
+                u = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            owner = rng.integers(0, n_labels, size=d)
+            base = [u[:, owner == i] @ dagger(u[:, owner == i]) for i in range(n_labels)]
+
+            def vector(i):
+                cols = np.flatnonzero(owner == i)
+                return u[:, cols[0]] if len(cols) else u[:, 0]
+
+            for a in range(n_labels):
+                for b in range(a, n_labels):
+                    x, y = vector(a), vector(b)
+                    for eta in (tol / 3, tol, 3 * tol):
+                        projections = list(base)
+                        projections[a] = base[a] + eta * (np.outer(x, y.conj())
+                                                          + np.outer(y, x.conj()))
+                        want = _pvm_pair_refusal(
+                            labels, [as_effect(p, tol=np.inf) for p in projections], tol)
+                        try:
+                            pvm_embed(labels, projections, [{labels[0]}], tol=tol)
+                            got = None
+                        except (OperatorError, RuntimeError) as exc:
+                            got = str(exc)
+                        if want is not None:
+                            assert got == want, (d, n_labels, a, b, eta)
+                        else:
+                            assert got is None or ("is not a projection" not in got
+                                                   and "not orthogonal" not in got), got
+
+
+def test_pinching_witness_projections_are_decomposed_once(monkeypatch):
+    """One `check_states` call (two commuting states at d = 4) and one commuting
+    `decide_measurements` call (a rank-2 PVM at d = 4) each hand every projection
+    of the pinching witness to `np.linalg.eigvalsh` exactly once, as a matrix or
+    as a slice of a stack: its POVM, its prepared states and the symmetric lift
+    of `check_states` all read that one spectrum."""
+    rng = np.random.default_rng(23)
+    u = random_unitary(4, rng)
+    states = [u @ np.diag(w) @ dagger(u) for w in ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4])]
+    pvm = [u @ np.diag(w) @ dagger(u) for w in ([1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0])]
+    eigvalsh = np.linalg.eigvalsh
+    for run in (lambda: check_states(states).witness,
+                lambda: decide_measurements(pvm).witness_channel):
+        seen = []
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        witness = run()
+        monkeypatch.undo()
+        assert len(witness.povm.effects) == 4
+        for p in witness.povm.effects:
+            calls = [a for a in seen
+                     if any(np.array_equal(x, p) for x in (a if a.ndim == 3 else [a]))]
+            assert len(calls) == 1

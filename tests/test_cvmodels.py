@@ -599,3 +599,73 @@ def test_sweep_trace_defect_is_the_projectivity_norm():
         family = effects + [complement]
         want = max_op_norm(e @ e - e for e in family)[0]
         assert row["trace_defect"] == pytest.approx(want, rel=1e-13)
+
+
+def _choi_blocks_one_by_one(action, n):
+    """The Choi blocks as each was built alone, one gather per grading g."""
+    blocks = []
+    for g in range(-(n - 1), n):
+        idx = np.arange(n - abs(g))
+        low = np.minimum.outer(idx, idx)
+        sector = np.subtract.outer(idx, idx) + n - 1
+        b = action[sector, low + max(g, 0), low + max(-g, 0)]
+        blocks.append(0.5 * (b + dagger(b)))
+    return blocks
+
+
+def _unchecked(action, n):
+    """A `TruncatedChannel` holding `action` without its constructor's checks."""
+    ch = TruncatedChannel.__new__(TruncatedChannel)
+    ch.action, ch.levels = action, n
+    return ch
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("complex_action", [False, True])
+def test_choi_blocks_equal_the_one_by_one_gathers(n, complex_action):
+    """On random actions, real and complex, the blocks of one gather equal the
+    blocks built one grading at a time, bit for bit."""
+    rng = np.random.default_rng(10 * n + complex_action)
+    action = rng.standard_normal((2 * n - 1, n, n))
+    if complex_action:
+        action = action + 1j * rng.standard_normal((2 * n - 1, n, n))
+    got = _unchecked(action, n).choi()
+    want = _choi_blocks_one_by_one(action, n)
+    assert len(got) == len(want) == 2 * n - 1
+    for b, w in zip(got, want):
+        assert b.shape == w.shape and b.dtype == w.dtype
+        assert b.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 24, 32])
+def test_smoothing_sectors_are_exactly_symmetric(n):
+    """Every sector block of the smoothing channel equals its transpose bit for
+    bit, so the analysis takes `eigvalsh`; the moduli agree with those of
+    `eigvals` within 1e-14."""
+    ch = qchannel_build(FockTruncation(n))
+    want = []
+    for b in ch.sector_blocks():
+        assert (b == b.T).all()
+        want.append(np.abs(np.linalg.eigvals(b)))
+    want = np.sort(np.concatenate(want))[::-1]
+    report = qchannel_fixed_analysis(ch, window=2, n_terms=4)
+    np.testing.assert_allclose(report["eigenvalue_moduli_top"], want[:10], rtol=0, atol=1e-14)
+    assert abs(report["second_largest_modulus"] - want[1]) <= 1e-14
+
+
+def test_cp_check_refuses_a_negative_eigenvalue_in_a_graded_block():
+    """A classical transition matrix at 4 levels with one coherence, |0><1| ->
+    |2><3|, too large for the populations it joins: the only negative Choi
+    eigenvalue, -0.3, sits in block g = 2, which the check decides together
+    with block g = -2."""
+    n = 4
+    action = np.zeros((2 * n - 1, n, n))
+    action[n - 1] = [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0.5, 0, 1, 0], [0, 0.5, 0, 1]]
+    action[n - 2, 2, 0] = action[n, 2, 0] = 0.8
+    blocks = _unchecked(action, n).choi()
+    lowest = [np.linalg.eigvalsh(b).min() for b in blocks]
+    assert lowest[n - 1 + 2] == pytest.approx(-0.3)
+    assert min(lowest[:n + 1] + lowest[n + 2:]) >= 0.0
+    with pytest.raises(OperatorError,
+                       match=r"^truncated channel is not CP: min Choi eigenvalue -3\.000e-01$"):
+        TruncatedChannel(action, n)

@@ -762,3 +762,61 @@ def test_pvm_embed_gives_a_real_pvm_the_verdict_of_its_complex_copy(data):
         _assert_float64((real.channel._effect_stack, real.channel._state_stack))
         assert real.atom_sets == cplx.atom_sets
         assert real.max_fix_residual == pytest.approx(cplx.max_fix_residual, rel=1e-6, abs=1e-14)
+
+
+@st.composite
+def _stacks(draw):
+    """k matrices of one shape and dtype: general, zero, copies of earlier ones
+    (exact ties), each scaled by 2^s, also out of the range the bounds cover;
+    now and then float32 or too many entries, where no bound is given."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (1, 5), (6, 6), (65, 64)]))
+    dtype = draw(st.sampled_from([np.float64, np.float64, np.complex128, np.complex128,
+                                  np.float32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["general", "general", "zero", "copy"]))
+        if kind == "copy" and mats:
+            mats.append(mats[draw(st.integers(0, len(mats) - 1))].copy())
+            continue
+        a = rng.standard_normal(shape) + (1j * rng.standard_normal(shape)
+                                          if dtype == np.complex128 else 0)
+        if kind == "zero":
+            a = a * 0.0
+        scales = [0, 0, -30, 30] + ([-500, 500] if dtype != np.float32 else [])
+        mats.append(a * 2.0 ** draw(st.sampled_from(scales)))
+    return np.array(mats).astype(dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+def test_stacked_op_norm_bounds_equal_each_matrix_bounds(stack):
+    """The bounds of a stack are, entry by entry, the bounds of its matrices taken
+    one at a time, bit for bit; an undecidable matrix gets (-inf, inf)."""
+    from broadcastlab.operators import _frob_norms, _op_norm_bounds
+
+    lo, hi = _op_norm_bounds(stack)
+    assert lo.shape == hi.shape == (len(stack),)
+    for k, a in enumerate(stack):
+        assert (lo[k], hi[k]) == _op_norm_bounds(a)
+        assert lo[k] <= op_norm(a) <= hi[k]
+    if stack.dtype in (np.float64, np.complex128):
+        with np.errstate(over="ignore"):
+            assert _frob_norms(stack).tolist() == [frob_norm(a) for a in stack]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stacks())
+@example(np.array([np.diag([1.0, 0.0]), np.eye(2), np.eye(2)]))  # tie after a lower first bound
+@example(np.array([np.eye(2), np.diag([1.0, 0.0]), np.eye(2)]))
+@example(np.zeros((3, 2, 2)))                                      # all zero: index None
+@example(np.array([np.eye(2) * 2.0 ** -500, np.eye(2)]))           # no bound for the first
+def test_max_op_norm_of_a_stack_equals_the_scan(stack):
+    """As a stack and as a list, `max_op_norm` gives the value and the first index
+    of a scan that takes every SVD, ties included."""
+    want = _max_op_norm_reference(stack)
+    for mats in (stack, list(stack)):
+        got = max_op_norm(mats)
+        assert got == want
+        assert type(got[0]) is float

@@ -11,8 +11,8 @@ from .operators import (
     TRACE_TOL,
     DiscretePOVM,
     _check_density,
-    _density_checks,
     _trace,
+    as_densities,
     as_hermitian,
     as_matrix,
     dagger,
@@ -149,19 +149,17 @@ class MeasurePrepareChannel:
     """
 
     kind = "measure_prepare"
-    # eigenvalues of the prepared states, one row each, where the constructor took them
-    _state_spectra = None
 
     def __init__(self, povm: DiscretePOVM, states):
-        self._prepare(povm, *_density_checks(states))
+        self._prepare(povm, as_densities(states))
 
-    def _prepare(self, povm: DiscretePOVM, states, spectra=None):
+    def _prepare(self, povm: DiscretePOVM, states):
         """Take `povm` and the `states`, each already checked as a density
-        operator: one per effect, all of one shape; `spectra` are their eigenvalues."""
+        operator: one per effect, all of one shape."""
         self.states, self.d_out = square_family(states, "prepared state", ChannelError)
         if len(self.states) != len(povm):
             raise ChannelError("need exactly one prepared state per POVM effect")
-        self.povm, self.d_in, self._state_spectra = povm, povm.dim, spectra
+        self.povm, self.d_in = povm, povm.dim
         # np.array stacks the equal-shaped matrices at a fraction of np.stack's call cost
         self._effect_stack, self._state_stack = np.array(povm.effects), np.array(self.states)
 
@@ -227,12 +225,7 @@ class SymmetricLift(MeasurePrepareChannel):
         # The d x d eigensolver and the products round by less than a further 8 d^2 ulps.
         d, delta, eps = base.d_out, TRACE_TOL, PSD_TOL
         rounding = 8.0 * d * d * np.finfo(float).eps
-        # the spectra the base's constructor took, or else of its states as a stack:
-        # a lift of a 1 x 1 lift has no `_state_stack`
-        spectra = base._state_spectra
-        if spectra is None:
-            spectra = np.linalg.eigvalsh(np.array(base.states))
-        for s, w in zip(base.states, spectra):
+        for s, w in zip(base.states, np.linalg.eigvalsh(np.array(base.states))):
             _check_density(np.multiply.outer(w, w), _trace(s) ** 2,
                            psd_tol=eps * (1.0 + delta + d * eps) + rounding,
                            trace_tol=delta * (2.0 + delta) + rounding)

@@ -16,12 +16,14 @@ from .channels import (ChoiChannel, MeasurePrepareChannel, SymmetricLift, _choi_
 from .config import DimensionCapError, dimension_cap
 from .operators import (
     PSD_TOL,
+    TRACE_TOL,
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
-    _density_checks,
+    _check_density,
     _exceeding,
     _frob_norms,
+    _trace,
     as_densities,
     as_effects,
     as_hermitian,
@@ -96,18 +98,26 @@ def _atom_channel(effects, labels=None, povm_tol: float = PSD_TOL, traces=None,
     """The measure-and-prepare channel that measures `DiscretePOVM(effects,
     labels, povm_tol)` and prepares each (symmetrized) effect divided by its
     trace in `traces`, or the effect itself when `traces` is None, each state
-    checked at its `state_tols` entry (default `PSD_TOL`).  The effects and the
-    states are decided on the POVM's one stacked `eigvalsh`: a state's spectrum
-    is its effect's divided by the trace.  The refusals are those, in the order,
-    of the POVM followed by `as_densities` of the states; the spectra are also
-    the ones `SymmetricLift` reads."""
+    checked at its `state_tols` entry (default `PSD_TOL`).  The states are
+    checked on the POVM's one stacked `eigvalsh`: a state's spectrum is its
+    effect's divided by the trace.  The refusals are those, in the order, of the
+    POVM followed by `as_density` of each state in turn."""
     povm = DiscretePOVM(tuple(effects), labels=labels, tol=povm_tol)
     states, spectra = povm.effects, povm._spectra
     if traces is not None:
-        states = tuple(e / t for e, t in zip(states, traces))
-        spectra = spectra / np.array(traces)[:, None]
+        with np.errstate(all="ignore"):  # a state made non-finite by its trace is refused below
+            states = tuple(e / t for e, t in zip(states, traces))
+            spectra = spectra / np.array(traces)[:, None]
+    checked = []
+    for k, (s, w) in enumerate(zip(states, spectra)):
+        # An effect, or its quotient by a positive trace, is Hermitian entry for entry
+        # as `as_hermitian` writes it, so only finiteness is left to check; a negative
+        # trace writes zero imaginary parts as -0.0 where `as_hermitian` writes +0.0.
+        s = as_hermitian(s) if traces is not None and traces[k] < 0 else as_matrix(s)
+        _check_density(w, _trace(s), state_tols[k] if state_tols else PSD_TOL, TRACE_TOL)
+        checked.append(s)
     channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
-    channel._prepare(povm, *_density_checks(states, state_tols, spectra))
+    channel._prepare(povm, checked)
     return channel
 
 

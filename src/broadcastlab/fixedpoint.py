@@ -357,13 +357,13 @@ def atomic_decomposition(algebra: BroadcastingAlgebra, tol: float = ATOM_TOL,
             redraws += 1
             continue
         evals = evals.real
-        spread = max(1.0, float(evals.max() - evals.min()) if m > 1 else 1.0)
-        if m > 1:
-            gaps = np.abs(evals[:, None] - evals[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < 1e-6 * spread:
-                redraws += 1
-                continue
+        # at m = 1 the spread is 1 and the one gap, on the diagonal, reads inf
+        spread = max(1.0, float(evals.max() - evals.min()))
+        gaps = np.abs(evals[:, None] - evals[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < 1e-6 * spread:
+            redraws += 1
+            continue
         candidates = []
         ok = True
         for v in evecs.T:

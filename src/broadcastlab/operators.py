@@ -296,29 +296,18 @@ def as_density(rho, psd_tol: float = PSD_TOL, trace_tol: float = TRACE_TOL) -> n
     return h
 
 
-def as_densities(states, psd_tols=None) -> tuple:
-    """`as_density(s, psd_tol=t)` of each state s with its tolerance t (default
-    `PSD_TOL`), raising the first refusal in order, from one stacked `eigvalsh`."""
-    return _density_checks(states, psd_tols)[0]
+def as_densities(states) -> tuple:
+    """`as_density(s)` of each state s, raising the first refusal in order, from
+    one stacked `eigvalsh`."""
+    return _spectral_checks(
+        states, lambda h, w: _check_density(w, _trace(h), PSD_TOL, TRACE_TOL))[0]
 
 
-def _density_checks(states, psd_tols=None, spectra=None) -> tuple:
-    """(`as_densities(states, psd_tols)`, the states' eigenvalues), the eigenvalues
-    taken from `spectra` when the caller has them (see `_spectral_checks`)."""
-    def check(k, h, w):
-        psd_tol = PSD_TOL if psd_tols is None else psd_tols[k]
-        _check_density(w, _trace(h), psd_tol, TRACE_TOL)
-
-    return _spectral_checks(states, check, spectra)
-
-
-def _spectral_checks(mats, check, spectra=None) -> tuple:
+def _spectral_checks(mats, check) -> tuple:
     """(`as_hermitian` of each of `mats`, their eigenvalues): each matrix is passed
-    with its index and eigenvalues to `check(k, h, w)`, which raises on a refusal.
-    The first refusal in order is raised, as by a loop of per-matrix checks.  The
-    spectra come from one `eigvalsh` of the stack where all matrices share one
-    shape, or are `spectra`, one row per matrix, which a caller holding the
-    eigenvalues of matrices that `as_hermitian` returns unchanged passes in."""
+    with its eigenvalues to `check(h, w)`, which raises on a refusal.  The first
+    refusal in order is raised, as by a loop of per-matrix checks.  The spectra
+    come from one `eigvalsh` of the stack where all matrices share one shape."""
     hs, refusal = [], None
     for a in mats:
         try:
@@ -326,12 +315,10 @@ def _spectral_checks(mats, check, spectra=None) -> tuple:
         except OperatorError as exc:
             refusal = exc
             break
-    if hs:
-        if spectra is None:
-            spectra = (np.linalg.eigvalsh(np.array(hs)) if len({h.shape for h in hs}) == 1
-                       else [np.linalg.eigvalsh(h) for h in hs])
-        for k, (h, w) in enumerate(zip(hs, spectra)):
-            check(k, h, w)
+    spectra = (np.linalg.eigvalsh(np.array(hs)) if len({h.shape for h in hs}) == 1
+               else [np.linalg.eigvalsh(h) for h in hs])
+    for h, w in zip(hs, spectra):
+        check(h, w)
     if refusal is not None:
         raise refusal
     return tuple(hs), spectra
@@ -374,7 +361,7 @@ def as_effect(e, tol: float = PSD_TOL) -> np.ndarray:
 def as_effects(effects, tol: float = PSD_TOL) -> tuple:
     """`as_effect(e, tol)` of each effect, raising the first refusal in order,
     from one stacked `eigvalsh`."""
-    return _spectral_checks(effects, lambda k, h, w: _check_effect(w, tol))[0]
+    return _spectral_checks(effects, lambda h, w: _check_effect(w, tol))[0]
 
 
 def _check_effect(w, tol: float) -> None:
@@ -397,8 +384,7 @@ class DiscretePOVM:
     tol: float = PSD_TOL
 
     def __post_init__(self):
-        checked, spectra = _spectral_checks(self.effects,
-                                            lambda k, h, w: _check_effect(w, self.tol))
+        checked, spectra = _spectral_checks(self.effects, lambda h, w: _check_effect(w, self.tol))
         effs, d = square_family(checked, "POVM effect", OperatorError)
         object.__setattr__(self, "effects", effs)
         # the effects' eigenvalues, one row each, which a measure-and-prepare channel

@@ -324,6 +324,32 @@ def _edge_state(d, trace_offset, negativity, rotate, seed):
     return as_hermitian(u @ np.diag(w) @ dagger(u))
 
 
+def _lift_refuses_where_the_dense_check_does(base):
+    """`SymmetricLift(base)`, or None where it refuses, after asserting that it
+    refuses exactly where `as_density` of some dense s (x) s of the base's states
+    at the derived tolerances does, except where a dense eigenvalue or trace lies
+    within the rounding allowance of its bound."""
+    d = base.d_out
+    rounding = 8.0 * d * d * np.finfo(float).eps
+    psd_tol = PSD_TOL * (1.0 + TRACE_TOL + d * PSD_TOL) + rounding
+    trace_tol = TRACE_TOL * (2.0 + TRACE_TOL) + rounding
+    dense_accepts, near = True, False
+    for s in base.states:
+        dense = np.kron(s, s)
+        try:
+            as_density(dense, psd_tol=psd_tol, trace_tol=trace_tol)
+        except OperatorError:
+            dense_accepts = False
+        near |= min(abs(np.linalg.eigvalsh(dense).min() + psd_tol),
+                    abs(abs(np.trace(dense).real - 1.0) - trace_tol)) <= rounding
+    try:
+        lift = SymmetricLift(base)
+    except OperatorError:
+        lift = None
+    assert (lift is not None) == dense_accepts or near
+    return lift
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
@@ -367,26 +393,47 @@ def test_symmetric_lift_check_refuses_where_the_dense_check_does(d, trace_offset
     state = _edge_state(d, trace_offset, negativity, rotate, seed)
     base = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
     base._prepare(DiscretePOVM((np.eye(d),)), [state])
-    rounding = 8.0 * d * d * np.finfo(float).eps
-    psd_tol = PSD_TOL * (1.0 + TRACE_TOL + d * PSD_TOL) + rounding
-    trace_tol = TRACE_TOL * (2.0 + TRACE_TOL) + rounding
-    dense = np.kron(state, state)
-    try:
-        as_density(dense, psd_tol=psd_tol, trace_tol=trace_tol)
-        dense_accepts = True
-    except OperatorError:
-        dense_accepts = False
-    try:
-        lift = SymmetricLift(base)
-    except OperatorError:
-        lift = None
-    if (lift is not None) != dense_accepts:
-        low = np.linalg.eigvalsh(dense).min()
-        trace_miss = abs(np.trace(dense).real - 1.0)
-        assert min(abs(low + psd_tol), abs(trace_miss - trace_tol)) <= rounding
+    lift = _lift_refuses_where_the_dense_check_does(base)
     if lift is not None:
         assert (lift.d_in, lift.d_out) == (d, d * d)
-        np.testing.assert_array_equal(lift.states[0], dense)
+        np.testing.assert_array_equal(lift.states[0], np.kron(state, state))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 3.0)),
+                                   min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(2, [(0.0, 0.0), (0.0, 3.0)], False, 0)  # the second state's product -3e-10: refused
+def test_symmetric_lift_of_a_prepared_base_of_several_states(d, edges, rotate, seed):
+    """A base of several states, each up to three times past the base's trace
+    and PSD tolerances and prepared by `_prepare` without the base's check: its
+    lift refuses exactly where the dense check of some s (x) s does."""
+    states = [_edge_state(d, t, n, rotate, seed + k) for k, (t, n) in enumerate(edges)]
+    base = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
+    base._prepare(DiscretePOVM(tuple(np.eye(d) / len(states) for _ in states)), states)
+    _lift_refuses_where_the_dense_check_does(base)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1.5, 1.5), st.booleans(), st.booleans())
+@example(0.4, False, False)  # tr(s)^4 is 1.6e-10 off one: the lift of the lift accepts
+@example(0.6, False, False)  # 2.4e-10 off: refused
+@example(0.0, True, True)
+def test_symmetric_lift_of_a_one_dimensional_lift_refuses_where_the_dense_check_does(
+        trace_offset, negative, as_complex):
+    """At d = 1 the state [t], t = +-(1 + trace_offset * TRACE_TOL), prepared
+    without a check: its lift, and the lift of that lift (whose base has no
+    stacked states of its own), each refuse exactly where the dense check of
+    their base's s (x) s does."""
+    t = (-1.0 if negative else 1.0) * (1.0 + trace_offset * TRACE_TOL)
+    base = MeasurePrepareChannel.__new__(MeasurePrepareChannel)
+    base._prepare(DiscretePOVM((np.eye(1),)), [np.array([[t]], dtype=complex if as_complex
+                                                       else float)])
+    lift = _lift_refuses_where_the_dense_check_does(base)
+    if lift is not None:
+        lift_of_lift = _lift_refuses_where_the_dense_check_does(lift)
+        # tr(s)^4 is about 4 * trace_offset * TRACE_TOL off one, at most 1.6e-10 here
+        assert lift_of_lift is not None or abs(trace_offset) > 0.4
 
 
 def test_measure_prepare_choi_is_ppt():

@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from families import (
     rotated_mub_effects,
 )
 
+from broadcastlab import contextuality
 from broadcastlab.channels import ChoiChannel, MeasurePrepareChannel, choi_transform
 from broadcastlab.config import CAP_ENV_VAR, DimensionCapError
 from broadcastlab.contextuality import (
@@ -23,6 +26,7 @@ from broadcastlab.contextuality import (
     PPT_NOTE,
     AxiomViolationError,
     FeasibilityProblem,
+    _pinching_witness,
     _verify_witness,
     approx_check,
     broadcaster_from_commuting,
@@ -33,10 +37,15 @@ from broadcastlab.contextuality import (
     pvm_embed,
 )
 from broadcastlab.operators import (
+    PSD_TOL,
+    TRACE_TOL,
     DiscretePOVM,
     NotCommutingError,
     OperatorError,
+    _check_density,
+    _trace,
     as_effect,
+    as_hermitian,
     commutator_defect,
     dagger,
     hermitian_basis,
@@ -780,18 +789,19 @@ def test_pvm_embed_raises_the_first_pair_refusal_of_the_pair_loop(tol, real):
 
 
 def test_pinching_witness_projections_are_decomposed_once(monkeypatch):
-    """One `check_states` call (two commuting states at d = 4) and one commuting
-    `decide_measurements` call (a rank-2 PVM at d = 4) each hand every projection
-    of the pinching witness to `np.linalg.eigvalsh` exactly once, as a matrix or
-    as a slice of a stack: its POVM, its prepared states and the symmetric lift
-    of `check_states` all read that one spectrum."""
+    """One commuting `decide_measurements` call (a rank-2 PVM at d = 4) hands
+    every projection of the pinching witness to `np.linalg.eigvalsh` exactly
+    once, as a matrix or as a slice of a stack: its POVM and its prepared states
+    read that one spectrum.  One `check_states` call (two commuting states at
+    d = 4) hands each projection over twice: once for the witness, once for the
+    stacked spectrum of its symmetric lift's base states."""
     rng = np.random.default_rng(23)
     u = random_unitary(4, rng)
     states = [u @ np.diag(w) @ dagger(u) for w in ([0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4])]
     pvm = [u @ np.diag(w) @ dagger(u) for w in ([1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0])]
     eigvalsh = np.linalg.eigvalsh
-    for run in (lambda: check_states(states).witness,
-                lambda: decide_measurements(pvm).witness_channel):
+    for run, times in ((lambda: check_states(states).witness, 2),
+                       (lambda: decide_measurements(pvm).witness_channel, 1)):
         seen = []
 
         def recording_eigvalsh(a, *args, **kwargs):
@@ -805,4 +815,148 @@ def test_pinching_witness_projections_are_decomposed_once(monkeypatch):
         for p in witness.povm.effects:
             calls = [a for a in seen
                      if any(np.array_equal(x, p) for x in (a if a.ndim == 3 else [a]))]
-            assert len(calls) == 1
+            assert len(calls) == times
+
+
+def _hermitian_path_atom_states(effects, labels=None, povm_tol=PSD_TOL, traces=None,
+                                state_tols=None):
+    """Reference for `_atom_channel`'s state checks that runs `as_hermitian` on
+    every state: the POVM, then `as_hermitian` of each state up to the first it
+    refuses, the density check of each state before that one on the POVM's
+    spectra divided by the traces, in order, and then that refusal.  Returns the
+    accepted states."""
+    povm = DiscretePOVM(tuple(effects), labels=labels, tol=povm_tol)
+    states, spectra = povm.effects, povm._spectra
+    if traces is not None:
+        with np.errstate(all="ignore"):  # only the refusals are compared, not warnings
+            states = tuple(e / t for e, t in zip(states, traces))
+            spectra = spectra / np.array(traces)[:, None]
+    hs, refusal = [], None
+    for s in states:
+        try:
+            hs.append(as_hermitian(s))
+        except OperatorError as exc:
+            refusal = exc
+            break
+    for k, (h, w) in enumerate(zip(hs, spectra)):
+        _check_density(w, _trace(h), PSD_TOL if state_tols is None else state_tols[k], TRACE_TOL)
+    if refusal is not None:
+        raise refusal
+    return tuple(hs)
+
+
+def _ghost_pvm(d, ghosts, rotation, rng):
+    """Labels, projections and subsets for `pvm_embed` at d >= 2: labels "a" and
+    "b", measured together, are diag(x, -x') and diag(y, -y') on the first two
+    coordinates for `ghosts` = (x, x', y, y') in [0, 0.09]; label "c" is
+    diag(1 - (x + y) / 2, 1 + (x' + y') / 2) there, so every pair check and the
+    sum pass at tol 0.1; the other coordinates go to "c" and up to two more
+    labels, one projection each.  The atom of "a" and "b" is kept once x + y or
+    x' + y' exceeds 0.1, and its trace (x + y) - (x' + y') may be zero, negative
+    or positive.  `rotation` is None, a real orthogonal or a unitary matrix."""
+    x, x2, y, y2 = ghosts
+    owner = rng.integers(0, 3, size=d - 2)
+    diags = {"a": [x, -x2] + [0.0] * (d - 2), "b": [y, -y2] + [0.0] * (d - 2),
+             "c": [1 - (x + y) / 2, 1 + (x2 + y2) / 2] + [float(o == 0) for o in owner]}
+    for r in (1, 2):
+        if (owner == r).any():
+            diags[f"r{r}"] = [0.0, 0.0] + [float(o == r) for o in owner]
+    labels = list(diags)
+    projections = [np.diag(diags[lab]) for lab in labels]
+    if rotation is not None:
+        projections = [rotation @ p @ dagger(rotation) for p in projections]
+    return labels, projections, [{"a", "b"}] + [{lab} for lab in labels[3:]]
+
+
+def _atom_channel_calls(labels, projections, subsets, tol):
+    """The arguments of each `_atom_channel` call of one `pvm_embed` call."""
+    calls, atom_channel = [], contextuality._atom_channel
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return atom_channel(*args, **kwargs)
+
+    with mock.patch.object(contextuality, "_atom_channel", recording):
+        try:
+            pvm_embed(labels, projections, subsets, tol=tol)
+        except (OperatorError, RuntimeError):
+            pass
+    return calls
+
+
+def _assert_atom_states_as_the_hermitian_path(args, kwargs):
+    """`_atom_channel` refuses with the reference's first message, or accepts the
+    same states bit for bit, each of which `as_hermitian` returns bit for bit."""
+    def outcome(fn):
+        try:
+            return "ok", fn()
+        except OperatorError as exc:
+            return "refused", str(exc)
+
+    got = outcome(lambda: contextuality._atom_channel(*args, **kwargs).states)
+    want = outcome(lambda: _hermitian_path_atom_states(*args, **kwargs))
+    assert got[0] == want[0], (got, want)
+    if got[0] == "refused":
+        assert got[1] == want[1]
+        return got[1]
+    for s, h in zip(got[1], want[1]):
+        assert s.dtype == h.dtype and s.tobytes() == h.tobytes()
+        assert as_hermitian(s).tobytes() == s.tobytes()
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.tuples(*[st.sampled_from([0.0, 0.03, 0.05, 0.06, 0.09])] * 4),
+       st.sampled_from(["none", "real", "unitary"]), st.booleans(),
+       st.sampled_from([1e-10, 0.1]), st.integers(0, 2 ** 32 - 1))
+def test_pvm_embed_atom_states_refuse_as_the_hermitian_path_does(d, ghosts, rotation,
+                                                                 as_complex, tol, seed):
+    """Each `_atom_channel` call of `pvm_embed`, on real and complex near-PVMs at
+    tol 1e-10 and 0.1 whose atom of two ghost labels has a trace of either sign
+    or zero, refuses with the first message of the reference that runs
+    `as_hermitian` on each state, or accepts the same states bit for bit."""
+    rng = np.random.default_rng(seed)
+    u = {"none": None, "real": np.linalg.qr(rng.standard_normal((d, d)))[0],
+         "unitary": random_unitary(d, rng)}[rotation]
+    labels, projections, subsets = _ghost_pvm(d, ghosts, u, rng)
+    if as_complex:
+        projections = [p.astype(complex) for p in projections]
+    for args, kwargs in _atom_channel_calls(labels, projections, subsets, tol):
+        _assert_atom_states_as_the_hermitian_path(args, kwargs)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("ghosts, message", [
+    ((0.09, 0.09, 0.09, 0.09), "matrix entries must be finite (no NaN/Inf)"),  # trace 0
+    ((0.06, 0.09, 0.06, 0.09), "density operator has eigenvalue"),  # trace -0.06
+    ((0.09, 0.06, 0.09, 0.06), None),  # trace 0.06: the states pass
+])
+def test_pvm_embed_atom_of_zero_or_negative_trace(dtype, ghosts, message):
+    """A kept atom of trace zero is refused as a non-finite state, one of
+    negative trace by its density check, with no floating-point warning, in
+    the reference's order and message."""
+    labels, projections, subsets = _ghost_pvm(2, ghosts, None, np.random.default_rng(0))
+    projections = [p.astype(dtype) for p in projections]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        calls = _atom_channel_calls(labels, projections, subsets, 0.1)
+        assert len(calls) == 1
+        got = _assert_atom_states_as_the_hermitian_path(*calls[0])
+    assert (got is None) == (message is None) and (message is None or message in got)
+
+
+def test_atom_states_are_returned_unchanged_by_as_hermitian():
+    """The states of the pinching witness and of `pvm_embed`'s atom channel, on
+    real and complex input, are exactly Hermitian: `as_hermitian` returns each
+    bit for bit, so `_atom_channel` need not run it."""
+    rng = np.random.default_rng(29)
+    for d in range(1, 7):
+        for u in (np.linalg.qr(rng.standard_normal((d, d)))[0], random_unitary(d, rng)):
+            witness = _pinching_witness(u)
+            n_labels = int(rng.integers(1, d + 1))
+            owner = rng.permutation(np.arange(d) % n_labels)
+            labels = list(range(n_labels))
+            projections = [u[:, owner == i] @ dagger(u[:, owner == i]) for i in labels]
+            embedding = pvm_embed(labels, projections, [{0}, set(labels[1::2])])
+            for s in witness.states + embedding.states:
+                assert as_hermitian(s).tobytes() == s.tobytes()

@@ -110,10 +110,7 @@ def _atom_channel(effects, labels=None, povm_tol: float = PSD_TOL, traces=None,
             spectra = spectra / np.array(traces)[:, None]
     checked = []
     for k, (s, w) in enumerate(zip(states, spectra)):
-        # An effect, or its quotient by a positive trace, is Hermitian entry for entry
-        # as `as_hermitian` writes it, so only finiteness is left to check; a negative
-        # trace writes zero imaginary parts as -0.0 where `as_hermitian` writes +0.0.
-        s = as_hermitian(s) if traces is not None and traces[k] < 0 else as_matrix(s)
+        s = as_hermitian(s)
         _check_density(w, _trace(s), state_tols[k] if state_tols else PSD_TOL, TRACE_TOL)
         checked.append(s)
     channel = MeasurePrepareChannel.__new__(MeasurePrepareChannel)

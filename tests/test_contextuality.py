@@ -948,7 +948,7 @@ def test_pvm_embed_atom_of_zero_or_negative_trace(dtype, ghosts, message):
 def test_atom_states_are_returned_unchanged_by_as_hermitian():
     """The states of the pinching witness and of `pvm_embed`'s atom channel, on
     real and complex input, are exactly Hermitian: `as_hermitian` returns each
-    bit for bit, so `_atom_channel` need not run it."""
+    bit for bit, so running it on them leaves every state as it was formed."""
     rng = np.random.default_rng(29)
     for d in range(1, 7):
         for u in (np.linalg.qr(rng.standard_normal((d, d)))[0], random_unitary(d, rng)):

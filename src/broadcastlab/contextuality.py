@@ -7,6 +7,7 @@ constructive extension of quasi-linear effect functionals."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -348,16 +349,6 @@ def _real_form(a: np.ndarray) -> np.ndarray:
     return a.real + a.imag
 
 
-def _herm_from_real_form(s: np.ndarray) -> np.ndarray:
-    """The Hermitian matrix whose real form is the real n x n matrix `s`: real part
-    the symmetric part of `s`, imaginary part its antisymmetric part."""
-    out = np.empty(s.shape, dtype=complex)
-    out.real = s + s.T
-    out.imag = s - s.T
-    out *= 0.5
-    return out
-
-
 def _psd_part(z: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix to the Hermitian part of `z` in the Frobenius norm: that
     part minus its negative spectral part."""
@@ -373,40 +364,23 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     place every real and imaginary part below 1e-140 of the largest.  LAPACK's
     eigenvalue-only path is off by up to 1e-4 relative on entries that far below the
     rest (`eigh` is not); by Weyl's inequality the flush moves no eigenvalue by more
-    than about n 1e-140 ||a||."""
+    than about n 1e-140 ||a||.  A NaN or infinite entry is refused as `as_matrix`
+    refuses it."""
     parts = a.view(float)
     size = np.abs(parts)
-    np.copyto(parts, 0.0, where=size < 1e-140 * size.max(initial=0.0))
+    top = size.max(initial=0.0)
+    if not math.isfinite(top):
+        raise OperatorError("matrix entries must be finite (no NaN/Inf)")
+    np.copyto(parts, 0.0, where=size < 1e-140 * top)
     return np.linalg.eigvalsh(a)
 
 
-def _constraint_rows(effects, picture: str) -> np.ndarray:
-    """Rows of the affine system over the real form of the Choi matrix J, one
-    block per constraint, row r of a block indexed by the element g_r of
-    `hermitian_basis(d)`.
-
-    The constraint reads Re tr(g_r L(J)) = Re tr(L*(g_r) J), so row r is the real
-    form of L*(g_r), the adjoint of the constraint map L applied to g_r: one
-    batched image per constraint.  Trace preservation L(J) = tr_2 J has
-    L*(g) = g (x) I; the Heisenberg condition L(J) = tr_2[J (I (x) E)]^T has
-    L*(g) = g^T (x) E; the Schrodinger one L(J) = tr_1[J (E^T (x) I)] has
-    L*(g) = E^T (x) g.
-    """
-    d = effects[0].shape[0]
-    n = d * d
-    out_basis = np.array(hermitian_basis(d))
-
-    def block(left, right):
-        images = np.einsum("...ab,...ij->...aibj", left, right).reshape(n, n, n)
-        return _real_form(images).reshape(n, n * n)
-
-    blocks = [block(out_basis, np.eye(d))]
-    for e in effects:
-        if picture == "heisenberg":
-            blocks.append(block(out_basis.transpose(0, 2, 1), e))
-        else:
-            blocks.append(block(e.T, out_basis))
-    return np.concatenate(blocks)
+def _projector(f: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of the columns of `f`, whose rank counts
+    the singular values above 1e-12 of the largest (none of a zero `f`)."""
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    q = u[:, s > 1e-12 * s[0]]
+    return q @ dagger(q)
 
 
 def _checked_effects(effects, picture: str, budget: int) -> tuple:
@@ -429,70 +403,81 @@ class FeasibilityProblem:
 
     The variable is the Choi matrix J of a candidate channel on C^d, a Hermitian
     d^2 x d^2 matrix; the projections take and return such matrices and are
-    orthogonal in the Frobenius metric.  Affine rows enforce trace preservation
-    and the fixed-point conditions for each effect; cone membership (PSD and
-    PPT, the EB relaxation) is handled by projection.  `picture` selects whether
-    the effects are fixed by the Heisenberg dual (the broadcastability
-    condition) or by the Schrodinger action; the two coincide on the commuting
-    instances decided here.
+    orthogonal in the Frobenius metric.  Affine constraints enforce trace
+    preservation and the fixed-point condition of each effect; cone membership
+    (PSD and PPT, the EB relaxation) is handled by projection.  `picture`
+    selects whether the effects are fixed by the Heisenberg dual (the
+    broadcastability condition) or by the Schrodinger action; the two coincide
+    on the commuting instances decided here.
 
-    The affine system is A x = b over the real form x = Re J + Im J
-    (`_real_form`), with the rows of `_constraint_rows` and `affine_rhs`, the
-    values Re tr(g_r E) over `hermitian_basis(d)` of the identity and of each
-    effect.  One SVD at set-up gives the orthonormal rows Q of the row space
-    (singular values above 1e-12 of the largest) and c = Q pinv(A) b: the affine
-    projection is x - Q^T (Q x - c) and the affine distance ||Q x - c||.
+    The constraints act on the realigned Choi matrix
+    M[(a,b),(i,j)] = J[(a,i),(b,j)], a permutation of the entries of J and so
+    a Frobenius isometry.  With vec(X) the row-major vector of X, trace
+    preservation reads M vec(I) = vec(I), the Heisenberg condition on E reads
+    M vec(E^T) = vec(E^T) and the Schrodinger one vec(E^T)^H M = vec(E^T)^H.
+    So the affine set is M P_R = P_R, P_L M = P_L for the projectors P_R and
+    P_L onto the spans of the right and the left vectors (P_L = 0 in the
+    Heisenberg picture), each from one SVD at set-up that keeps the singular
+    values above 1e-12 of the largest.  The identity channel, M = I, meets
+    every constraint, so the affine projection is
+    M -> I + (I - P_L)(M - I)(I - P_R), and the affine distance is the norm of
+    the part of M - I that it removes.  The partial transpose and the
+    realignment are each one index gather, with index arrays built at set-up.
     """
 
     def __init__(self, effects, picture: str = "heisenberg", budget: int = 20000,
                  tol: float = 1e-7):
         self.effects = _checked_effects(effects, picture, budget)
-        d = self.effects[0].shape[0]
-        self.dim = d
+        d = self.dim = self.effects[0].shape[0]
         self.picture = picture
         self.budget = int(budget)
         self.tol = float(tol)
 
-        real_rows = _constraint_rows(self.effects, picture)
-        targets = np.stack((np.eye(d),) + self.effects)
-        self.affine_rhs = np.einsum("rab,kba->kr", np.array(hermitian_basis(d)),
-                                    targets).real.ravel()
-        u, s, vh = np.linalg.svd(real_rows, full_matrices=False)
-        rank = int(np.count_nonzero(s > 1e-12 * s[0]))
-        self._rows = vh[:rank]
-        # the row space vanishes wherever every row does; clear the SVD's rounding there
-        self._rows[:, ~real_rows.any(axis=0)] = 0.0
-        self._rhs = (self.affine_rhs @ u[:, :rank]) / s[:rank]
+        n = d * d
+        idx = np.arange(n * n).reshape(d, d, d, d)
+        self._pt = idx.transpose(2, 1, 0, 3).reshape(n, n)  # transpose of factor 1
+        self._realign = idx.transpose(0, 2, 1, 3).reshape(n, n)  # J -> M, and back
+        # J, its partial transpose and M, in one gather
+        self._residual_gather = np.stack((idx.reshape(n, n), self._pt, self._realign))
+        # columns vec(I), vec(E_1^T), ..., vec(E_m^T)
+        vecs = np.stack((np.eye(d),) + self.effects).transpose(0, 2, 1).reshape(-1, n).T
+        heisenberg = picture == "heisenberg"
+        left = np.zeros((n, n)) if heisenberg else _projector(vecs[:, 1:])
+        right = _projector(vecs if heisenberg else vecs[:, :1])
+        # M projects to (I - P_L) M (I - P_R) + offset; the Heisenberg picture skips I - P_L = I
+        self._offset = left + right - left @ right
+        self._keep_left = None if heisenberg else np.eye(n) - left
+        self._keep_right = np.eye(n) - right
 
     # projections of Hermitian d^2 x d^2 matrices, orthogonal in the Frobenius metric
-    def _affine_gap(self, s: np.ndarray) -> np.ndarray:
-        """Q x - c, from the real form `s` of J."""
-        return self._rows @ s.ravel() - self._rhs
+    def _project_realigned(self, m: np.ndarray) -> np.ndarray:
+        """The affine projection I + (I - P_L)(M - I)(I - P_R) of the realigned `m`."""
+        out = m @ self._keep_right
+        if self._keep_left is not None:
+            out = self._keep_left @ out
+        out += self._offset
+        return out
 
     def project_affine(self, j: np.ndarray) -> np.ndarray:
-        s = _real_form(j)
-        s -= (self._affine_gap(s) @ self._rows).reshape(s.shape)
-        return _herm_from_real_form(s)
+        return self._project_realigned(j.take(self._realign)).take(self._realign)
 
     def project_psd(self, j: np.ndarray) -> np.ndarray:
         return _psd_part(j)
 
     def project_ppt(self, j: np.ndarray) -> np.ndarray:
-        d = self.dim
-        return partial_transpose(_psd_part(partial_transpose(j, (d, d))), (d, d))
+        # `as_matrix` refuses a NaN or infinite entry before it reaches `eigh`
+        return _psd_part(as_matrix(j).take(self._pt)).take(self._pt)
 
     def residuals(self, j: np.ndarray) -> dict:
         """Distances from `j` to the three sets: for the cones, the norm of the
         negative eigenvalues of J and of its partial transpose (one batched
-        `eigvalsh`); for the affine set, ||Q x - c||."""
-        d = self.dim
-        w = _eigvalsh(np.stack((j, partial_transpose(j, (d, d)))))
-        psd, ppt = np.linalg.norm(np.minimum(w, 0.0), axis=1)
-        return {
-            "psd": float(psd),
-            "ppt": float(ppt),
-            "affine": float(np.linalg.norm(self._affine_gap(_real_form(j)))),
-        }
+        `eigvalsh`); for the affine set, the norm of the part of M - I that the
+        affine projection removes."""
+        stack = j.take(self._residual_gather)
+        neg = np.minimum(_eigvalsh(stack[:2]), 0.0)
+        psd, ppt = np.sqrt((neg * neg).sum(axis=1))
+        gap = (stack[2] - self._project_realigned(stack[2])).view(float).ravel()
+        return {"psd": float(psd), "ppt": float(ppt), "affine": math.sqrt(gap @ gap)}
 
     def choi_from_coords(self, x: np.ndarray) -> np.ndarray:
         """The Choi matrix with coordinates `x` over `hermitian_basis(d^2)`."""
@@ -558,7 +543,7 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
     effects, by Dykstra alternating projections on PSD -> PPT -> affine.
 
     The cones carry Dykstra corrections; the affine set needs none, because
-    its correction lies in the row space of the constraint matrix, which the
+    its correction lies in the normal space of the affine set, which the
     affine projection removes again: P_A(x + c) = P_A(x).
 
     Feasibility means every residual fell below `problem.tol` within budget;

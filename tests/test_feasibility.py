@@ -1,6 +1,6 @@
 """The Dykstra feasibility search on the Choi matrix, each piece checked against
 a reference built here from `hermitian_basis`, partial traces and the
-pseudo-inverse of the affine rows."""
+pseudo-inverse of the affine system over basis coordinates."""
 
 import logging
 
@@ -15,10 +15,8 @@ from families import commuting_pair, random_density, random_unitary, rotated_mub
 from broadcastlab.contextuality import (
     STALL_WINDOW,
     FeasibilityProblem,
-    _constraint_rows,
-    _verify_witness,
-    _herm_from_real_form,
     _real_form,
+    _verify_witness,
     check_measurements_feasibility,
     extend_effect_functional,
 )
@@ -48,15 +46,13 @@ def _random_complex(rng, *shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_coordinates_match_basis_inner_products(n):
-    """The affine rows act on the real form Re A + Im A: its dot products with the
-    real forms of hermitian_basis(n) are the coordinates Re tr(h^dagger a) of a
-    Hermitian a, and `_herm_from_real_form` inverts it."""
+    """The dot products of the real form Re A + Im A of a Hermitian a with the real
+    forms of hermitian_basis(n) are its coordinates Re tr(h^dagger a)."""
     rng = np.random.default_rng(100 + n)
     a = _random_complex(rng, n, n)
     h = a + a.conj().T
     basis = _real_form(np.array(hermitian_basis(n))).reshape(n * n, n * n)
     assert np.allclose(basis @ _real_form(h).ravel(), _basis_coords(h, n), atol=1e-14, rtol=0)
-    assert np.allclose(_herm_from_real_form(_real_form(h)), h, atol=1e-14, rtol=0)
 
 
 def test_functional_extension_rejects_operators_of_another_size():
@@ -95,30 +91,37 @@ def _reference_affine(effects, picture):
     return columns.T, rhs
 
 
-def _coordinate_rows(problem):
-    """The problem's affine rows over hermitian_basis(d^2) coordinates: the value
-    of each row on the real form of each basis element."""
+def _affine_map_coords(problem):
+    """The affine projection P over hermitian_basis(d^2) coordinates: the matrix of
+    its linear part, column i the coordinates of P(h_i) - P(0), and those of P(0)."""
     n = problem.dim ** 2
-    basis = _real_form(np.array(hermitian_basis(n))).reshape(n * n, n * n)
-    return _constraint_rows(problem.effects, problem.picture) @ basis.T
+    origin = problem.project_affine(np.zeros((n, n), dtype=complex))
+    images = np.array([problem.project_affine(h) - origin for h in hermitian_basis(n)])
+    return _basis_coords(images, n).T, _basis_coords(origin, n)
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
 @pytest.mark.parametrize("d", [2, 3])
 def test_affine_system_matches_basis_loop(d, picture):
+    """The problem's affine set is the solution set of the basis-loop system
+    A x = b: the linear part of `project_affine` is the orthogonal projector onto
+    the null space of A, and the projection of 0 is pinv(A) b."""
     rng = np.random.default_rng(130 + d)
     effects = [random_density(d, rng) for _ in range(3)]
     problem = FeasibilityProblem(effects, picture=picture)
     a, b = _reference_affine(problem.effects, picture)
-    rows = _coordinate_rows(problem)
-    assert rows.shape == a.shape
-    assert np.max(np.abs(rows - a)) <= 1e-13
-    assert np.max(np.abs(problem.affine_rhs - b)) <= 1e-13
+    linear, origin = _affine_map_coords(problem)
+    pinv = np.linalg.pinv(a, rcond=1e-12)
+    assert linear.shape == (d ** 4, d ** 4)
+    assert np.max(np.abs(linear - (np.eye(d ** 4) - pinv @ a))) <= 1e-13
+    assert np.max(np.abs(origin - pinv @ b)) <= 1e-13
 
 
 # -- affine step against the pseudo-inverse --------------------------------------
 
-# rank of the affine rows of the 2d rotated-MUB effects at d = 2..5
+# rank of the affine constraints of the 2d rotated-MUB effects at d = 2..5: with
+# r = 2d - 1 the rank of the span of I and the effects, r d^2 in the Heisenberg
+# picture and (r + 1) d^2 - r in the Schrodinger picture
 MUB_RANKS = {"heisenberg": (12, 45, 112, 225), "schrodinger": (13, 49, 121, 241)}
 
 
@@ -135,15 +138,65 @@ def _check_affine_against_pinv(problem, a, b, rng):
         assert problem.residuals(j)["affine"] == pytest.approx(np.linalg.norm(step), abs=1e-12)
 
 
+def _normal_rank(problem):
+    """Rank of the normal space of the affine set: the span of the parts
+    h - (P(h) - P(0)) that the affine projection P removes from the elements h
+    of hermitian_basis(d^2), read through the isometric real form."""
+    n = problem.dim ** 2
+    origin = problem.project_affine(np.zeros((n, n), dtype=complex))
+    removed = [h - problem.project_affine(h) + origin for h in hermitian_basis(n)]
+    return np.linalg.matrix_rank(_real_form(np.array(removed)).reshape(n * n, n * n))
+
+
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_affine_step_matches_pseudo_inverse(d, picture):
+    """The affine step against the reference system, whose rank the space it
+    removes shares; the identity channel, which meets every constraint, keeps
+    no gap."""
     rng = np.random.default_rng(160 + d)
     problem = FeasibilityProblem(rotated_mub_effects(d, rng), picture=picture)
     a, b = _reference_affine(problem.effects, picture)
     assert a.shape == (d * d * (2 * d + 1), d ** 4)
-    assert np.linalg.matrix_rank(a) == MUB_RANKS[picture][d - 2]
+    assert np.linalg.matrix_rank(a) == MUB_RANKS[picture][d - 2] == _normal_rank(problem)
+    vec_identity = np.eye(d, dtype=complex).ravel()
+    assert problem.residuals(np.outer(vec_identity, vec_identity))["affine"] <= 1e-14
     _check_affine_against_pinv(problem, a, b, rng)
+
+
+@st.composite
+def _rank_deficient_problems(draw):
+    """A problem at d = 1..3 in either picture on a family whose constraints are
+    rank deficient (one effect repeated, a zero effect, or a basis of rank-one
+    projections that sums to I), and a Hermitian d^2 x d^2 matrix given by its
+    coordinates."""
+    d = draw(st.integers(1, 3))
+    picture = draw(st.sampled_from(["heisenberg", "schrodinger"]))
+    family = draw(st.sampled_from(["repeated", "zero", "basis"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if family == "repeated":
+        e = random_density(d, rng)
+        effects = [e, random_density(d, rng), e]
+    elif family == "zero":
+        effects = [np.zeros((d, d))] + [random_density(d, rng)] * draw(st.integers(0, 1))
+    else:
+        effects = [np.outer(v, v.conj()) for v in random_unitary(d, rng).T]
+    problem = FeasibilityProblem(effects, picture=picture)
+    return problem, draw(arrays(np.float64, d ** 4, elements=st.floats(-4.0, 4.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rank_deficient_problems())
+def test_affine_step_matches_pseudo_inverse_on_rank_deficient_families(case):
+    problem, x = case
+    n = problem.dim ** 2
+    a, b = _reference_affine(problem.effects, problem.picture)
+    step = np.linalg.pinv(a, rcond=1e-12) @ (a @ x - b)
+    j = problem.choi_from_coords(x)
+    out = problem.project_affine(j)
+    assert np.max(np.abs(_basis_coords(out, n) - (x - step))) <= 1e-12
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-14 * (1.0 + np.linalg.norm(j))
+    assert problem.residuals(j)["affine"] == pytest.approx(np.linalg.norm(step), abs=1e-12)
 
 
 @pytest.mark.parametrize("picture", ["heisenberg", "schrodinger"])
@@ -318,6 +371,30 @@ def test_search_matches_loop_with_affine_correction(effects, picture, status):
     assert verdict.cycles == ref_cycles
     assert len(verdict.residual_history) == len(ref_history)
     assert np.max(np.abs(np.array(verdict.residual_history) - ref_history)) <= 1e-10
+
+
+def test_search_refuses_a_non_finite_iterate(monkeypatch):
+    """A NaN entry in an iterate ends the search with the OperatorError that
+    `as_matrix` raises, not with an eigensolver's LinAlgError; so does a NaN
+    entry handed to `residuals`."""
+    problem = FeasibilityProblem(rotated_mub_effects(2, np.random.default_rng(180)))
+    project_psd = problem.project_psd
+    calls = []
+
+    def poisoned(j):
+        calls.append(j)
+        out = project_psd(j)
+        if len(calls) == 2:
+            out[0, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(problem, "project_psd", poisoned)
+    finite = r"matrix entries must be finite \(no NaN/Inf\)"
+    with pytest.raises(OperatorError, match=finite):
+        check_measurements_feasibility(problem)
+    assert len(calls) == 2
+    with pytest.raises(OperatorError, match=finite):
+        problem.residuals(np.full((4, 4), np.nan, dtype=complex))
 
 
 def test_search_logs_progress_every_100_cycles(caplog):

@@ -1,6 +1,7 @@
 """Quantum channel representations (Kraus, Choi, measure-and-prepare) with
 Schrodinger and Heisenberg actions, swap symmetrization, and the symmetric
-lift of a measure-and-prepare channel."""
+lift of a measure-and-prepare channel.  Every action takes one operand or a
+stack (k, d, d) of them, and gives each image bit for bit as it gives it alone."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from .operators import (
     DiscretePOVM,
     _check_density,
     _trace,
+    _trace_out,
     as_densities,
     as_hermitian,
     as_matrix,
@@ -21,7 +23,6 @@ from .operators import (
     op_norm_exceeds,
     partial_trace,
     square_family,
-    vec,
     unvec,
 )
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 TP_TOL = 1e-10
+CHOI_CHUNK_ENTRIES = 1 << 20  # of the products J (x^T (x) I) in one chunk of a stack
 
 
 class ChannelError(ValueError):
@@ -116,12 +118,12 @@ class ChoiChannel:
         return _choi_action(self.matrix, a, self.d_in, self.d_out, "heisenberg")
 
 
-def _operand(x, d: int, side: str, stack: bool = False) -> np.ndarray:
+def _operand(x, d: int, side: str) -> np.ndarray:
     """`x` by `as_matrix`, after raising `ChannelError` unless it is d x d,
-    where d is the channel's `side` dimension ("d_in" or "d_out"); with `stack`,
-    also a stack (k, d, d) of k >= 1 operands, each coerced and checked alike."""
+    where d is the channel's `side` dimension ("d_in" or "d_out"), or a stack
+    (k, d, d) of k >= 1 operands, each coerced and checked alike."""
     x = np.asarray(x)
-    if stack and x.ndim == 3 and len(x):
+    if x.ndim == 3 and len(x):
         x = as_matrix(x.reshape(-1, x.shape[-1])).reshape(x.shape)
     else:
         x = as_matrix(x)
@@ -133,9 +135,13 @@ def _operand(x, d: int, side: str, stack: bool = False) -> np.ndarray:
 def _choi_action(j, x, d_in: int, d_out: int, picture: str) -> np.ndarray:
     """The action on `x` of the map with Choi matrix `j`: tr_1[J (x^T (x) I)] in the
     Schrodinger picture, tr_2[J (I (x) x)]^T in the Heisenberg picture."""
+    step = max(1, CHOI_CHUNK_ENTRIES // (d_in * d_out) ** 2)
+    if x.ndim == 3 and len(x) > step:
+        return np.concatenate([_choi_action(j, x[s:s + step], d_in, d_out, picture)
+                               for s in range(0, len(x), step)])
     if picture == "schrodinger":
-        return partial_trace(j @ kron(x.T, np.eye(d_out)), (d_in, d_out), side=1)
-    return partial_trace(j @ kron(np.eye(d_in), x), (d_in, d_out), side=2).T
+        return _trace_out(j @ kron(np.swapaxes(x, -1, -2), np.eye(d_out)), d_in, d_out, 1)
+    return np.swapaxes(_trace_out(j @ kron(np.eye(d_in), x), d_in, d_out, 2), -1, -2)
 
 
 class MeasurePrepareChannel:
@@ -144,8 +150,7 @@ class MeasurePrepareChannel:
     The Heisenberg dual is Lambda*(A) = sum_i tr(sigma_i A) G_i.  Prepared
     states may live on a different (e.g. bipartite) output space.  Both actions
     take their weights from one product of a stacked family and add the terms
-    in order.  `apply_heisenberg` also takes a stack (k, d_out, d_out) of
-    operands, and gives each image bit for bit as it gives it alone.
+    in order.
     """
 
     kind = "measure_prepare"
@@ -167,23 +172,26 @@ class MeasurePrepareChannel:
         return self.states
 
     def _state_weights(self, a):
-        """tr(sigma_i a) for each prepared state sigma_i: shape (n,) for one operand,
-        (n, k) for a stack of k."""
-        if a.ndim == 2:
-            return np.trace(self._state_stack @ a, axis1=1, axis2=2)
-        return np.trace(self._state_stack @ a[:, None], axis1=2, axis2=3).T
+        return _traces(self._state_stack, a)
 
     def apply_schrodinger(self, rho) -> np.ndarray:
         rho = _operand(rho, self.d_in, "d_in")
-        weights = np.trace(self._effect_stack @ rho, axis1=1, axis2=2)
-        return _weighted_sum(weights, self._prepared(), self.d_out)
+        return _weighted_sum(_traces(self._effect_stack, rho), self._prepared(), self.d_out)
 
     def apply_heisenberg(self, a) -> np.ndarray:
-        a = _operand(a, self.d_out, "d_out", stack=True)
+        a = _operand(a, self.d_out, "d_out")
         return _weighted_sum(self._state_weights(a), self.povm.effects, self.d_in)
 
     def choi(self) -> ChoiChannel:
         return choi_transform(self)
+
+
+def _traces(stack, a):
+    """tr(m a) for each matrix m of `stack`: shape (n,) for one operand `a`, (n, k)
+    for a stack of k."""
+    if a.ndim == 2:
+        return np.trace(stack @ a, axis1=1, axis2=2)
+    return np.trace(stack @ a[:, None], axis1=2, axis2=3).T
 
 
 def _weighted_sum(weights, ops, d: int) -> np.ndarray:
@@ -314,13 +322,14 @@ def symmetric_lift(eb: MeasurePrepareChannel) -> SymmetricLift:
 
 
 def channel_matrix(channel, picture: str = "heisenberg") -> np.ndarray:
-    """Matrix of the channel action on row-major vectorized operators."""
+    """Matrix of the channel action on row-major vectorized operators, from one
+    stacked `apply` on the matrix units, or, where their dimension d exceeds the
+    images' d_t, stacks of d_t^2 units, none of more entries than the matrix."""
     d = channel.d_out if picture == "heisenberg" else channel.d_in
     d_target = channel.d_in if picture == "heisenberg" else channel.d_out
-    m = np.zeros((d_target ** 2, d ** 2), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[k, l] = 1.0
-            m[:, k * d + l] = vec(apply(channel, e, picture))
+    n, step = d * d, min(d, d_target) ** 2
+    m = np.empty((d_target ** 2, n), dtype=complex)
+    for s in range(0, n, step):
+        units = np.eye(min(step, n - s), n, s, dtype=complex).reshape(-1, d, d)
+        m[:, s:s + len(units)] = apply(channel, units, picture).reshape(len(units), -1).T
     return m

@@ -34,13 +34,11 @@ from .operators import (
     frob_norm,
     hermitian_basis,
     max_op_norm,
-    op_norm,
     op_norm_exceeds,
     partial_trace,
     partial_transpose,
     simultaneous_diagonalize,
     square_family,
-    trace_norm,
 )
 
 __all__ = [
@@ -153,16 +151,19 @@ def check_states(states, tol: float = 1e-9, seed: int = 0) -> StateSetVerdict:
     witness = _pinching_witness(u)
     broadcaster = SymmetricLift(witness)
 
-    fix_resid = max(trace_norm(witness.apply_schrodinger(r) - r) for r in rhos)
+    # one SVD for all gaps; the broadcasts one by one, as a stack holds k d^4 entries
+    stack = np.array(rhos)
+    marginals = [partial_trace(out, (d, d), side)
+                 for out in map(broadcaster.apply_schrodinger, rhos) for side in (2, 1)]
+    gaps = (np.concatenate([witness.apply_schrodinger(stack), marginals])
+            - np.concatenate([stack, np.repeat(stack, 2, axis=0)]))
+    norms = np.linalg.svd(gaps, compute_uv=False).sum(axis=1).tolist()
+    fix_resid = max(norms[:len(rhos)])
     if fix_resid > 1e-9:
         raise RuntimeError(
             f"pinching witness fails to fix an input state: residual {fix_resid:.3e}"
         )
-    marg = 0.0
-    for r in rhos:
-        out = broadcaster.apply_schrodinger(r)
-        marg = max(marg, trace_norm(partial_trace(out, (d, d), side=2) - r))
-        marg = max(marg, trace_norm(partial_trace(out, (d, d), side=1) - r))
+    marg = max(0.0, *norms[len(rhos):])
     if marg > 1e-10:
         raise RuntimeError(f"broadcaster marginal residual {marg:.3e} exceeds tolerance")
 
@@ -304,6 +305,17 @@ def pvm_embed(labels, projections, subsets, tol: float = 1e-10) -> PartitionEmbe
     state_tols = [max(PSD_TOL, povm_tol / t) if t > 0 else PSD_TOL for t in traces]
     channel = _atom_channel(atom_effects, labels=tuple(v for v, _, _ in kept),
                             povm_tol=povm_tol, traces=traces, state_tols=state_tols)
+    # Bound: no state passes below -povm_tol, so an atom of trace t_v < 1 is checked
+    # again there. Then the witness is completely positive up to the order of povm_tol:
+    # J = sum_v E_v^T (x) s_v, E^T (x) s >= -(||E||·n(s) + n(E)·||s||) with n the norm of
+    # the negative part, and s_v = E_v / t_v, t_v > 0, gives n(E_v)·||s_v|| = ||E_v||·n(s_v),
+    # so with ||E_v|| <= 1 + povm_tol / 2 an atom lowers J by at most (2 + povm_tol)·povm_tol,
+    # where n(s_v) <= povm_tol / t_v grows without limit. Exact PVM atoms have t_v >= 1.
+    for (v, labs, _), t, w in zip(kept, traces, channel.povm._spectra):
+        if 0.0 < t < 1.0 and w.min() / t < -povm_tol:
+            raise OperatorError(
+                f"atom {v} (labels {sorted(map(str, labs))}) has trace {t:.3e}: its state "
+                f"has eigenvalue {w.min() / t:.3e} < -{povm_tol:.3e}, the POVM tolerance")
 
     index_sets = tuple(
         frozenset(v for v, _, _ in kept if v != 0 and (v >> k) & 1)
@@ -607,8 +619,11 @@ def check_measurements_feasibility(problem: FeasibilityProblem) -> MeasSetVerdic
                 "solver reported feasibility but independent verification "
                 f"found residual {verification['max_residual']:.3e}"
             )
-        # the checks above passed at 100 * tol, so this constructor accepts the matrix
-        witness_channel = ChoiChannel(j, d, d, tol=max(1e-8, 100.0 * problem.tol))
+        # ChoiChannel's Hermiticity check; its PSD and trace checks, at max(1e-8,
+        # 100 * tol), pass on what was just verified at 100 * tol
+        witness_channel = ChoiChannel.__new__(ChoiChannel)
+        witness_channel.matrix, witness_channel.d_in, witness_channel.d_out = (
+            as_hermitian(j, tol=1e-10), d, d)
 
     return MeasSetVerdict(
         status=status,
@@ -627,13 +642,16 @@ def _verify_witness(effects, picture: str, j: np.ndarray) -> dict:
     d = effects[0].shape[0]
     jh = 0.5 * (j + dagger(j))
     w, wt = _eigvalsh(np.stack((jh, partial_transpose(jh, (d, d), side=1))))
-    tp = op_norm(partial_trace(jh, (d, d), side=2) - np.eye(d))
-    fixing = [op_norm(_choi_action(jh, e, d, d, picture) - e) for e in effects]
+    # tr_2(J) - I and the fixing gaps share one SVD: complex, as the J both callers pass
+    stack = np.array(effects)
+    gaps = np.concatenate(([partial_trace(jh, (d, d), side=2) - np.eye(d)],
+                           _choi_action(jh, stack, d, d, picture) - stack))
+    tp, *fixing = np.linalg.svd(gaps, compute_uv=False).max(axis=1, initial=0.0).tolist()
     out = {
         "min_eigenvalue": float(w.min()),
         "min_ppt_eigenvalue": float(wt.min()),
-        "trace_preservation": float(tp),
-        "fixing": [float(f) for f in fixing],
+        "trace_preservation": tp,
+        "fixing": fixing,
     }
     out["max_residual"] = max(max(0.0, -out["min_eigenvalue"]),
                               max(0.0, -out["min_ppt_eigenvalue"]),

@@ -482,9 +482,9 @@ def position_embedding_sweep(n_bins_list, trunc: FockTruncation, seed: int = 0) 
     """Bin-refinement study on [-3, 3]: repair distance and embedding residual per
     bin count.
 
-    The repair distance is the diagnostic: it grows as the bins refine at a
-    fixed truncation, tracing how the continuum measurement escapes the
-    finite window.
+    The repair distance, to the projections its seeded rounding gives, need not
+    grow as the bins refine: at 24 levels and seed 0 it reads 0.889, 0.843,
+    0.808 and 0.998 for 2, 4, 8 and 16 bins.
     """
     rows = []
     pvms = binned_position_pvms(-3.0, 3.0, [int(n_bins) for n_bins in n_bins_list], trunc)

@@ -241,10 +241,11 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`np.kron(a, b)` of two 2-D arrays bit for bit (the same products, signed
-    zeros included), without its call overhead at small sizes."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """`np.kron(a, b)` of two 2-D arrays, or of each matrix of a stack (k, m, n) in
+    either place, bit for bit (signed zeros included), without its call overhead."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -445,12 +446,16 @@ def partial_trace(a, dims, side: int) -> np.ndarray:
     """Trace out tensor factor `side` (1 or 2) of an operator on dims (d1, d2)."""
     a = as_matrix(a)
     d1, d2 = _check_bipartite(a, dims)
-    t = a.reshape(d1, d2, d1, d2)
-    if side == 1:
-        return np.einsum("ijik->jk", t)
-    if side == 2:
-        return np.einsum("ijkj->ik", t)
-    raise OperatorError(f"side must be 1 or 2, got {side!r}")
+    if side not in (1, 2):
+        raise OperatorError(f"side must be 1 or 2, got {side!r}")
+    return _trace_out(a, d1, d2, side)
+
+
+def _trace_out(a: np.ndarray, d1: int, d2: int, side: int) -> np.ndarray:
+    """`partial_trace` of an operator on (d1, d2), or of each operator of a stack
+    (k, d1 d2, d1 d2), unchecked."""
+    t = a.reshape(a.shape[:-2] + (d1, d2, d1, d2))
+    return np.einsum("...ijik->...jk" if side == 1 else "...ijkj->...ik", t)
 
 
 def partial_transpose(a, dims, side: int = 1) -> np.ndarray:

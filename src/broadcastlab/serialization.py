@@ -8,6 +8,7 @@ rejected with the offending field path."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 
@@ -81,7 +82,8 @@ def operator_to_json(matrix) -> dict:
     return {
         "dim_row": int(m.shape[0]),
         "dim_col": int(m.shape[1]),
-        "entries": np.stack([m.real, m.imag], -1).reshape(-1, 2).tolist(),
+        # a real matrix gains imaginary parts +0.0, as its `imag` reads
+        "entries": np.ascontiguousarray(m, complex).view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -94,12 +96,18 @@ def operator_from_json(obj, path="$") -> np.ndarray:
         raise SchemaError(
             f"{path}.entries: expected {rows * cols} [re, im] pairs, got "
             f"{len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (not isinstance(pair, list)) or len(pair) != 2:
-            raise SchemaError(f"{path}.entries[{i}]: expected an [re, im] pair")
-        at = f"{path}.entries[{i}]"
-        flat[i] = complex(_number_field(pair[0], at), _number_field(pair[1], at))
+    flat = None  # the whole list at once, if it holds only [re, im] lists of ints and floats
+    if (set(map(type, entries)) == {list} and set(map(len, entries)) == {2}
+            and {float, int}.issuperset(map(type, itertools.chain.from_iterable(entries)))):
+        with contextlib.suppress(OverflowError):  # an int past the float range
+            flat = np.array(entries, float).view(complex)
+    if flat is None:  # the loop reads other numbers, and names the first bad entry
+        flat = np.empty(rows * cols, dtype=complex)
+        for i, pair in enumerate(entries):
+            if (not isinstance(pair, list)) or len(pair) != 2:
+                raise SchemaError(f"{path}.entries[{i}]: expected an [re, im] pair")
+            at = f"{path}.entries[{i}]"
+            flat[i] = complex(_number_field(pair[0], at), _number_field(pair[1], at))
     try:
         return as_matrix(flat.reshape(rows, cols))
     except OperatorError as exc:
@@ -176,9 +184,10 @@ def dumps_report(report: dict) -> str:
     falls back to its pure-Python encoder, so this one is specialised: each
     list of `[re, im]` float pairs (the operator entries, nearly all of a
     report) is formatted by one `%` over a template of fixed layout, and
-    `float.__repr__` runs once per distinct value of the list, since a
-    Hermitian operator holds each off-diagonal real part twice."""
-    return _encode(report, 0) + "\n"
+    `float.__repr__` runs once per distinct value of the report, since a
+    Hermitian operator holds each off-diagonal real part twice and a report
+    often writes one operator in several places."""
+    return _encode(report, 0, {}) + "\n"
 
 
 _ascii = json.encoder.encode_basestring_ascii
@@ -200,17 +209,18 @@ def _key(key) -> str:
     if isinstance(key, float):
         return _float(key)
     if key is True or key is False or key is None:
-        return _encode(key, 0)
+        return _encode(key, 0, {})
     if isinstance(key, int):
         return int.__repr__(key)
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
-def _pair_list(items, depth: int) -> str | None:
+def _pair_list(items, depth: int, table: dict) -> str | None:
     """`items` at indent level `depth` if it is a list of finite [re, im]
     float pairs, else None (the general path then encodes it, or raises).
 
-    Each distinct value is formatted once.  The table is keyed by value, where
+    `table`, the report's, maps each value formatted so far to its repr and
+    gains the finite values of `items` it lacks.  It is keyed by value, where
     0.0 == -0.0 although their reprs differ, so zeros are formatted one by one."""
     if set(map(type, items)) != {list} or set(map(len, items)) != {2}:
         return None
@@ -218,10 +228,11 @@ def _pair_list(items, depth: int) -> str | None:
     # ints and bools would share table entries with equal floats
     if not _FLOAT_TYPES.issuperset(map(type, values)):
         return None
-    distinct = dict.fromkeys(values)
-    table = dict(zip(distinct, map(float.__repr__, distinct)))
-    if not _NON_FINITE.isdisjoint(table.values()):
+    new = set(values).difference(table)
+    reprs = list(map(float.__repr__, new))
+    if not _NON_FINITE.isdisjoint(reprs):
         return None
+    table.update(zip(new, reprs))
     reprs = tuple([table[x] if x else float.__repr__(x) for x in values])
     outer = "\n" + "  " * depth
     inner = outer + "  "
@@ -230,7 +241,7 @@ def _pair_list(items, depth: int) -> str | None:
     return "[" + inner + ("," + inner).join([pair] * len(items)) % reprs + outer + "]"
 
 
-def _encode(o, depth: int) -> str:
+def _encode(o, depth: int, table: dict) -> str:
     """`o` as json.dumps(sort_keys=True, indent=2) writes it at indent level `depth`."""
     if isinstance(o, str):
         return _ascii(o)
@@ -247,10 +258,10 @@ def _encode(o, depth: int) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        text = _pair_list(o, depth)
+        text = _pair_list(o, depth, table)
         if text is None:
             inner = "\n" + "  " * (depth + 1)
-            text = "[" + inner + ("," + inner).join([_encode(v, depth + 1) for v in o])
+            text = "[" + inner + ("," + inner).join([_encode(v, depth + 1, table) for v in o])
             text += "\n" + "  " * depth + "]"
         return text
     if isinstance(o, dict):
@@ -258,7 +269,7 @@ def _encode(o, depth: int) -> str:
             return "{}"
         inner = "\n" + "  " * (depth + 1)
         return ("{" + inner + ("," + inner).join(
-            [_ascii(_key(k)) + ": " + _encode(v, depth + 1) for k, v in sorted(o.items())])
+            [_ascii(_key(k)) + ": " + _encode(v, depth + 1, table) for k, v in sorted(o.items())])
             + "\n" + "  " * depth + "}")
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

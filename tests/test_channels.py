@@ -13,6 +13,7 @@ from families import (
     random_unitary,
 )
 
+from broadcastlab import channels
 from broadcastlab.channels import (
     ChannelError,
     ChoiChannel,
@@ -649,3 +650,73 @@ def test_stacked_heisenberg_operands_are_checked_like_one():
     with pytest.raises(OperatorError, match="expected a 2-D matrix"):
         ch.apply_heisenberg(np.zeros((0, 2, 2)))
     assert ch.apply_heisenberg(np.array([np.eye(2)], dtype=np.float32)).dtype == np.complex128
+
+
+def _reference_channel_matrix(channel, picture):
+    """The per-basis loop: column k d + l is the image of |k><l| taken alone."""
+    d = channel.d_out if picture == "heisenberg" else channel.d_in
+    d_target = channel.d_in if picture == "heisenberg" else channel.d_out
+    m = np.zeros((d_target ** 2, d ** 2), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[k, l] = 1.0
+            m[:, k * d + l] = apply(channel, e, picture).reshape(-1)
+    return m
+
+
+def _channel_of_kind(kind, d, real, rng):
+    """A channel on C^d of `kind` with real or complex data; all but the lift
+    map into C^(d + 1), and the lift maps into C^d (x) C^d."""
+    if kind in ("kraus", "choi"):
+        q = np.linalg.qr(_operator(2 * (d + 1), real, rng))[0]
+        kraus = KrausChannel([q[k * (d + 1):(k + 1) * (d + 1), :d] for k in range(2)])
+        return kraus if kind == "kraus" else choi_transform(kraus)
+    u = np.linalg.qr(_operator(d, real, rng))[0]
+    effects = [(u * w) @ dagger(u) for w in rng.dirichlet(np.ones(3), size=d).T]
+    d_out = d if kind == "lift" else d + 1
+    ch = MeasurePrepareChannel(DiscretePOVM(tuple(effects)),
+                               [_state(d_out, real, rng) for _ in effects])
+    return SymmetricLift(ch) if kind == "lift" else ch
+
+
+@pytest.mark.parametrize("kind", ["kraus", "choi", "measure_prepare", "lift"])
+@pytest.mark.parametrize("picture", ["schrodinger", "heisenberg"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_actions_and_channel_matrix_match_the_per_basis_loop(kind, picture, d):
+    """`channel_matrix`, one stacked action on the matrix units (in stacks of at
+    most d_t^2 units where the operand dimension exceeds the image's, as in a
+    lift's Heisenberg picture), equals the per-basis loop byte for byte, and
+    every action of every kind gives each image of a stack (k, d, d) byte for
+    byte as it gives it alone: dtype, values and signed zeros, on real and
+    complex channels and operands."""
+    rng = np.random.default_rng(1000 + 10 * d + 2 * (picture == "heisenberg"))
+    for real in (True, False):
+        channel = _channel_of_kind(kind, d, real, rng)
+        m = channel_matrix(channel, picture)
+        want = _reference_channel_matrix(channel, picture)
+        assert m.dtype == want.dtype and m.tobytes() == want.tobytes()
+        size = channel.d_out if picture == "heisenberg" else channel.d_in
+        for operand_real in (True, False):
+            stack = np.array([_operator(size, operand_real, rng) for _ in range(3)])
+            stack[0] *= -0.0
+            stack[1, 0] = 0.0
+            images = apply(channel, stack, picture)
+            for image, x in zip(images, stack):
+                alone = apply(channel, x, picture)
+                assert image.dtype == alone.dtype and image.tobytes() == alone.tobytes()
+
+
+def test_stacked_choi_action_is_the_same_in_any_chunking(monkeypatch):
+    """A Choi channel takes a stack in chunks whose products hold at most
+    `CHOI_CHUNK_ENTRIES` entries; the images are the same bytes for any chunk
+    size, one operand per chunk included (J is 12 x 12 here, 144 entries)."""
+    rng = np.random.default_rng(1100)
+    channel = _channel_of_kind("choi", 3, False, rng)
+    rhos = np.array([_operator(3, False, rng) for _ in range(7)])
+    observables = np.array([_operator(4, False, rng) for _ in range(7)])
+    want = channel.apply_schrodinger(rhos), channel.apply_heisenberg(observables)
+    for entries in (1, 2 * 144, 3 * 144 + 1):
+        monkeypatch.setattr(channels, "CHOI_CHUNK_ENTRIES", entries)
+        assert channel.apply_schrodinger(rhos).tobytes() == want[0].tobytes()
+        assert channel.apply_heisenberg(observables).tobytes() == want[1].tobytes()

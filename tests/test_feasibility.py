@@ -12,6 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from families import commuting_pair, random_density, random_unitary, rotated_mub_effects
 
+from broadcastlab import contextuality
+from broadcastlab.channels import ChoiChannel
 from broadcastlab.contextuality import (
     STALL_WINDOW,
     FeasibilityProblem,
@@ -371,6 +373,43 @@ def test_search_matches_loop_with_affine_correction(effects, picture, status):
     assert verdict.cycles == ref_cycles
     assert len(verdict.residual_history) == len(ref_history)
     assert np.max(np.abs(np.array(verdict.residual_history) - ref_history)) <= 1e-10
+
+
+def test_feasible_loop_verdict_decomposes_its_choi_matrix_once(monkeypatch):
+    """After the loop's last residual check, a feasible verdict takes one
+    `eigvalsh`, the stacked one of `_verify_witness` on J and its partial
+    transpose: its witness is the Hermitian part of J, as `ChoiChannel` would
+    hold it byte for byte, without that constructor's second decomposition."""
+    problem = FeasibilityProblem(commuting_pair(((0.75, 0.5, 0.25, 0.0), (0.1, 0.1, 0.8, 0.8)),
+                                                np.random.default_rng(151)))
+    eigvalsh, residuals, verify = (np.linalg.eigvalsh, problem.residuals,
+                                   contextuality._verify_witness)
+    calls, marks, verified = [], [], []
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def marking_residuals(j):
+        out = residuals(j)
+        marks.append(len(calls))
+        return out
+
+    def recording_verify(effects, picture, j):
+        verified.append(j)
+        return verify(effects, picture, j)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(problem, "residuals", marking_residuals)
+    monkeypatch.setattr(contextuality, "_verify_witness", recording_verify)
+    verdict = check_measurements_feasibility(problem)
+    monkeypatch.undo()
+    assert verdict.status == "feasible" and verdict.cycles == 55
+    assert calls[marks[-1]:] == [(2, 16, 16)]
+    witness = verdict.witness_channel
+    assert isinstance(witness, ChoiChannel) and (witness.d_in, witness.d_out) == (4, 4)
+    want = ChoiChannel(verified[-1], 4, 4, tol=max(1e-8, 100.0 * problem.tol)).matrix
+    assert witness.matrix.tobytes() == want.tobytes()
 
 
 def test_search_refuses_a_non_finite_iterate(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -17,7 +18,8 @@ from broadcastlab.channels import (
     symmetric_lift,
 )
 from broadcastlab.cli import main
-from broadcastlab.operators import PSD_TOL, DiscretePOVM, op_norm
+from broadcastlab.contextuality import pvm_embed
+from broadcastlab.operators import PSD_TOL, DiscretePOVM, OperatorError, op_norm
 from broadcastlab.serialization import (
     SchemaError,
     channel_from_json,
@@ -247,6 +249,119 @@ def test_dumps_report_matches_json_dumps_on_repeating_pairs(pairs):
 ])
 def test_dumps_report_explicit_cases(report):
     _assert_encodes_like_json(report)
+
+
+@st.composite
+def _reports_sharing_values(draw):
+    """Reports of two to five pair lists drawn from one pool of values that holds
+    both signed zeros, so that later lists meet values an earlier list put in
+    the report's repr table, zeros of either sign included; in some, one entry
+    of a later list is a NaN or an infinity.  The keys sort in the order the
+    lists are drawn, which is the order the encoder visits them."""
+    pool = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                         max_size=4)) + [0.0, -0.0]
+    value = st.sampled_from(pool) | st.sampled_from(pool).map(np.float64)
+    pairs = st.lists(st.lists(value, min_size=2, max_size=2), min_size=1, max_size=8)
+    lists = draw(st.lists(pairs, min_size=2, max_size=5))
+    bad = draw(st.sampled_from([None, float("nan"), float("inf"), -float("inf")]))
+    if bad is not None:
+        later = lists[draw(st.integers(1, len(lists) - 1))]
+        later[draw(st.integers(0, len(later) - 1))][draw(st.integers(0, 1))] = bad
+    # odd lists sit inside an operator-like object, as entries do in a report
+    return {f"l{k}": {"entries": v} if k % 2 else v for k, v in enumerate(lists)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports_sharing_values())
+@example({"l0": [[0.0, 1.0]], "l1": {"entries": [[-0.0, 1.0], [1.0, 0.0]]}})
+@example({"l0": [[-0.0, 0.5]], "l1": {"entries": [[0.0, -0.5]]}, "l2": [[-0.0, -0.0]]})
+@example({"l0": [[0.5, 0.25]], "l1": {"entries": [[0.25, float("nan")]]}})
+@example({"l0": [[0.5, 0.25]], "l1": {"entries": [[0.5, 0.25]]}, "l2": [[float("inf"), 0.5]]})
+def test_dumps_report_shares_one_repr_table_across_pair_lists(report):
+    """One `float.__repr__` table serves every pair list of a report: the bytes
+    are json.dumps's where lists share values and mix 0.0 and -0.0, and a NaN or
+    infinity in a later list, after earlier lists have filled the table, raises
+    json's ValueError with its message."""
+    _assert_encodes_like_json(report)
+
+
+def _reference_operator_from_json(obj, path="$"):
+    """The per-entry reader: after the size checks, each entry is checked as an
+    [re, im] list of two numbers and converted, in order."""
+    rows, cols = obj["dim_row"], obj["dim_col"]
+    assert isinstance(obj["entries"], list) and len(obj["entries"]) == rows * cols
+    flat = np.empty(rows * cols, dtype=complex)
+    for i, pair in enumerate(obj["entries"]):
+        at = f"{path}.entries[{i}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError(f"{at}: expected an [re, im] pair")
+        parts = []
+        for value in pair:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise SchemaError(f"{at}: expected a number, got {type(value).__name__}")
+            try:
+                parts.append(float(value))
+            except OverflowError:
+                raise SchemaError(f"{at}: number too large for a float") from None
+        flat[i] = complex(*parts)
+    m = flat.reshape(rows, cols)
+    if not np.isfinite(m).all():
+        raise SchemaError(f"{path}: matrix entries must be finite (no NaN/Inf)")
+    return m
+
+
+def _assert_reads_like_the_reference(doc):
+    """`operator_from_json` raises the reference's `SchemaError` text, or returns
+    its matrix byte for byte."""
+    def outcome(read):
+        try:
+            return "ok", read(doc, "$.op")
+        except SchemaError as exc:
+            return "refused", str(exc)
+
+    got, want = outcome(operator_from_json), outcome(_reference_operator_from_json)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "refused":
+        assert got[1] == want[1]
+    else:
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+_BAD_ENTRIES = [True, "1.5", 10 ** 400, [1.0, 2.0, 3.0], (1.0, 2.0), [True, 0.0],
+                [0.0, False], ["0.5", 0.0], [0.0, -(10 ** 400)], [[1.0], 2.0], None, [],
+                [0.5, None], {"re": 1.0, "im": 0.0}, [float("nan"), 0.0], [0.0, float("inf")]]
+
+
+@pytest.mark.parametrize("bad", _BAD_ENTRIES, ids=repr)
+@pytest.mark.parametrize("at", [0, 4, 8])
+def test_operator_reader_refuses_a_bad_entry_as_the_per_entry_reader(bad, at):
+    """A bool, a string, an int past the float range, a pair of three, a tuple,
+    a non-number inside a pair or a non-finite value, at the first, a middle or
+    the last of nine entries, gets the per-entry reader's message, which names
+    that entry; so does the first of two bad entries."""
+    entries = [[0.5 * k, -0.0] for k in range(9)]
+    entries[at] = bad
+    _assert_reads_like_the_reference({"dim_row": 3, "dim_col": 3, "entries": entries})
+    if at < 8:
+        entries[8] = [True, True]
+        _assert_reads_like_the_reference({"dim_row": 3, "dim_col": 3, "entries": entries})
+
+
+_ENTRY_VALUE = (st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+                | st.integers(-(2 ** 80), 2 ** 80) | st.sampled_from([0.0, -0.0, 10 ** 400]))
+_ENTRY = (st.lists(_ENTRY_VALUE, min_size=2, max_size=2)
+          | st.sampled_from(_BAD_ENTRIES) | st.tuples(_ENTRY_VALUE, _ENTRY_VALUE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_operator_reader_matches_the_per_entry_reader(rows, cols, data):
+    """On entries mixing floats, numpy floats, ints up to 2^80 and past the
+    float range, signed zeros and malformed entries, `operator_from_json`
+    returns the per-entry reader's matrix byte for byte or raises its message."""
+    entries = data.draw(st.lists(_ENTRY, min_size=rows * cols, max_size=rows * cols))
+    _assert_reads_like_the_reference({"dim_row": rows, "dim_col": cols, "entries": entries})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
@@ -530,6 +645,24 @@ def test_pvm_embed_near_misses_at_larger_tol_follow_the_svd_verdict(defect, fact
     if factor in (0.5, 2.0):
         assert ok == (factor < 1)
     assert _exit_code("pvm-embed", doc, "--tol", repr(tol)) in ((0,) if ok else (2,))
+
+
+def test_pvm_embed_refuses_an_atom_state_beyond_the_povm_tolerance(capsys):
+    """At --tol 0.1, P_a = P_b = diag(0.09, -0.06) and P_c = diag(0.91, 1.06) pass
+    the three PVM checks, and the atom of a and b, diag(0.18, -0.12) of trace
+    0.06, gives the state diag(3, -2), which its derived check at
+    povm_tol / 0.06 = 14.0 would pass.  No state passes below -povm_tol (0.84
+    here): the input is refused (exit 2), naming the atom and its trace.  The
+    near miss ("negative", 0.979, 0.1) above keeps its atom of trace 0.11,
+    whose state passes at povm_tol."""
+    projections = [np.diag([0.09, -0.06]), np.diag([0.09, -0.06]), np.diag([0.91, 1.06])]
+    message = "atom 1 (labels ['a', 'b']) has trace 6.000e-02: its state has eigenvalue -2.000e+00"
+    with pytest.raises(OperatorError, match=re.escape(message)):
+        pvm_embed(["a", "b", "c"], projections, [{"a", "b"}], tol=0.1)
+    doc = {"labels": ["a", "b", "c"], "projections": _ops(*projections),
+           "subsets": [["a", "b"]]}
+    assert _exit_code("pvm-embed", doc, "--tol", "0.1") == 2
+    assert message in capsys.readouterr().err
 
 
 @settings(max_examples=60, deadline=None)

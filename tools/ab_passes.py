@@ -12,8 +12,9 @@ even and B then A when it is odd.  One untimed warm-up pass per side comes
 first.  Every report is checked with the workload's `check_report`.
 
 Printed: each subcommand's median call time per side, the median pass time per
-side, the pass ratio B/A (the median of the N pair ratios) and how many pairs
-each side won.  Exit status 1 if a call failed or a report failed its check.
+side, the p50 call per side (the median over passes of each pass's median call
+time) with its ratio B/A, the pass ratio B/A (the median of the N pair ratios)
+and how many pairs each side won.  Exit status 1 if a call failed or a report failed its check.
 
 Both sides share one process, so they see the same machine state within a
 pair; separate benchmark runs of the two trees can land in different speed
@@ -143,6 +144,8 @@ def main(argv=None) -> int:
     pass_a, pass_b = ([sum(t) for t in call_times[side]] for side in "AB")
     print(f"  pass median  A {statistics.median(pass_a) * 1e3:.3f} ms  "
           f"B {statistics.median(pass_b) * 1e3:.3f} ms")
+    p50_a, p50_b = (statistics.median(map(statistics.median, call_times[side])) for side in "AB")
+    print(f"  p50 call  A {p50_a * 1e3:.3f} ms  B {p50_b * 1e3:.3f} ms  B/A {p50_b / p50_a:.3f}")
     print(f"  pass ratio B/A {statistics.median(b / a for a, b in zip(pass_a, pass_b)):.3f}")
     print(f"  passes won  A {sum(a < b for a, b in zip(pass_a, pass_b))}  "
           f"B {sum(b < a for a, b in zip(pass_a, pass_b))}  of {args.passes}")
